@@ -50,6 +50,32 @@ fn bench_flow(c: &mut Criterion) {
             })
         });
     }
+    // The transportation relaxation `plan` spends its time in: 200 items
+    // of fractional weight spread over 98 unit-capacity slot bins, one
+    // unit of item i in bin j costing the bin's slot price plus a
+    // pair-specific distance.
+    let (items, bins) = (200usize, 98usize);
+    g.bench_function("transportation", |b| {
+        b.iter(|| {
+            let (s, t) = (items + bins, items + bins + 1);
+            let mut f = MinCostFlow::new(items + bins + 2);
+            let mut supply = 0.0;
+            for i in 0..items {
+                let w = 0.2 + ((i * 37) % 50) as f64 / 100.0;
+                supply += w;
+                f.add_edge(s, i, w, 0.0);
+                for j in 0..bins {
+                    let price = 1.0 + (j % 7) as f64;
+                    let dist = ((i * 31 + j * 17) % 97) as f64 / 10.0;
+                    f.add_edge(i, items + j, w, price + dist);
+                }
+            }
+            for j in 0..bins {
+                f.add_edge(items + j, t, 1.0, 0.0);
+            }
+            f.run(s, t, black_box(supply))
+        })
+    });
     g.finish();
 }
 

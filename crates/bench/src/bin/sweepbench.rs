@@ -16,8 +16,10 @@
 //!   tableau, sparse revised simplex, min-cost-flow transportation fast
 //!   path), written to `BENCH_appro.json`. Backends are checked to agree
 //!   on the LP lower bound and the rounded assignment cost before anything
-//!   is timed. `--smoke` runs one tiny cell once per backend — the CI
-//!   bit-rot guard, valid in debug builds because it never writes.
+//!   is timed. `--quick` times only the smallest cell and writes
+//!   `BENCH_appro.local.json` (gitignored) instead. `--smoke` runs one
+//!   tiny cell once per backend — the CI bit-rot guard, valid in debug
+//!   builds because it never writes.
 //!
 //! * **scenarios** (`sweepbench scenarios`) — no timing: replays the
 //!   standard dynamic-popularity traces (diurnal Zipf, flash crowd,
@@ -373,7 +375,9 @@ fn run_appro_sweep(quick: bool, smoke: bool) {
         body.join(",\n"),
     );
     // Like BENCH_dynamics.json: the checked-in artifact is release-only,
-    // and an --obs run times the probes too, so it may not overwrite.
+    // and an --obs run times the probes too, so it may not overwrite. A
+    // --quick run times only the smallest cell, so it writes a local
+    // (gitignored) file instead of the checked-in three-row grid.
     if smoke || cfg!(debug_assertions) || mec_obs::sink_installed() {
         eprintln!(
             "sweepbench: {} — not overwriting BENCH_appro.json \
@@ -387,7 +391,13 @@ fn run_appro_sweep(quick: bool, smoke: bool) {
             }
         );
     } else {
-        std::fs::write("BENCH_appro.json", &json).expect("write BENCH_appro.json");
+        let path = if quick {
+            "BENCH_appro.local.json"
+        } else {
+            "BENCH_appro.json"
+        };
+        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("sweepbench: wrote {path}");
     }
     println!("{json}");
 }

@@ -4,7 +4,7 @@
 //! the Shmoys–Tardos approximation \[34\]. This crate implements:
 //!
 //! * [`instance`] — GAP instances and assignments,
-//! * [`flow`] — a min-cost-flow substrate (successive shortest paths),
+//! * [`flow`] — a min-cost-flow substrate (primal network simplex),
 //! * [`lp_relax`] — the LP relaxation (general simplex path — revised or
 //!   dense — plus a transportation fast path for per-item uniform weights
 //!   over admissible bins; select via [`LpBackend`]),
@@ -47,4 +47,4 @@ pub use instance::{Assignment, GapInstance, FORBIDDEN};
 pub use lp_relax::{capacity_shadow_prices, FractionalSolution, GapError, LpBackend};
 pub use shmoys_tardos::StSolution;
 pub use swap::{improve, SwapResult};
-pub use verify::{check_assignment, GapViolation};
+pub use verify::{check_assignment, check_flow, FlowViolation, GapViolation};

@@ -17,7 +17,7 @@
 //!    minimum-cost integral matching therefore exists and costs no more.
 //!    We extract it with unit-capacity min-cost flow.
 
-use crate::flow::MinCostFlow;
+use crate::flow::{ArcId, FlowResult, MinCostFlow};
 use crate::instance::{Assignment, GapInstance};
 use crate::lp_relax::{solve_relaxation_with, FractionalSolution, GapError, LpBackend};
 
@@ -130,11 +130,34 @@ fn round_with(
 ) -> Result<Assignment, GapError> {
     let _span = mec_obs::span("gap.round");
     let n = inst.items();
+    let slot_edges = build_slots(inst, frac, workers);
+    mec_obs::counter_add("gap.rounding_slots", slot_edges.len() as u64);
+    let (f, res, pair_arcs) = match_slots(inst, &slot_edges);
+    if res.flow + 1e-6 < n as f64 {
+        return Err(GapError::Infeasible);
+    }
+
+    let mut of = vec![usize::MAX; n];
+    for (item, bin, arc) in pair_arcs {
+        if f.flow_on(arc) > 0.5 {
+            of[item] = bin;
+        }
+    }
+    debug_assert!(of.iter().all(|&b| b != usize::MAX));
+    Ok(Assignment::new(of))
+}
+
+/// Step 1 over every bin: the candidate items of each slot, in bin order.
+fn build_slots(
+    inst: &GapInstance,
+    frac: &FractionalSolution,
+    workers: usize,
+) -> Vec<Vec<SlotEdge>> {
     let m = inst.bins();
 
-    // 1. Build slots per bin — independent per bin, so fan the bins out
-    //    across the bounded worker pool and stitch the outputs back
-    //    together in bin order (deterministic regardless of worker count).
+    // Independent per bin, so fan the bins out across the bounded worker
+    // pool and stitch the outputs back together in bin order
+    // (deterministic regardless of worker count).
     let per_bin = frac.per_bin(m);
     let mut slot_edges: Vec<Vec<SlotEdge>> = Vec::new(); // per slot: candidate items
     if workers <= 1 {
@@ -176,10 +199,18 @@ fn round_with(
         .expect("slot construction scope panicked");
         slot_edges.extend(per_chunk.into_iter().flatten());
     }
+    slot_edges
+}
 
-    // 2. Min-cost perfect matching on the item side via unit-cap flow.
+/// Step 2: a minimum-cost matching of every item to a distinct slot, as a
+/// unit-capacity flow `source -> item -> slot -> sink`. Returns the solved
+/// network, its result, and each item→slot arc with its `(item, bin)`.
+fn match_slots(
+    inst: &GapInstance,
+    slot_edges: &[Vec<SlotEdge>],
+) -> (MinCostFlow, FlowResult, Vec<(usize, usize, ArcId)>) {
+    let n = inst.items();
     let s_count = slot_edges.len();
-    mec_obs::counter_add("gap.rounding_slots", s_count as u64);
     let src = 0;
     let item0 = 1;
     let slot0 = 1 + n;
@@ -197,18 +228,7 @@ fn round_with(
         f.add_edge(slot0 + s, sink, 1.0, 0.0);
     }
     let res = f.run(src, sink, n as f64);
-    if res.flow + 1e-6 < n as f64 {
-        return Err(GapError::Infeasible);
-    }
-
-    let mut of = vec![usize::MAX; n];
-    for (item, bin, arc) in pair_arcs {
-        if f.flow_on(arc) > 0.5 {
-            of[item] = bin;
-        }
-    }
-    debug_assert!(of.iter().all(|&b| b != usize::MAX));
-    Ok(Assignment::new(of))
+    (f, res, pair_arcs)
 }
 
 /// Solves a GAP instance end to end: relaxation + Shmoys–Tardos rounding.
@@ -366,6 +386,32 @@ mod tests {
         inst.set_capacity(0, 3.0);
         let sol = solve(&inst).unwrap();
         assert!((sol.assignment_cost - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn matching_flow_is_integral() {
+        // Heterogeneous weights force fractional splits, so slots hold
+        // several candidate items; the matching still picks each item→slot
+        // arc wholly or not at all.
+        let mut inst = GapInstance::new(5, 2);
+        for i in 0..5 {
+            inst.set_cost(i, 0, 1.0 + i as f64).set_cost(i, 1, 2.0);
+            inst.set_item_weight(i, 0.5 + 0.3 * i as f64);
+        }
+        inst.set_capacity(0, 3.0);
+        inst.set_capacity(1, 3.0);
+        let frac = solve_relaxation_with(&inst, LpBackend::Auto).unwrap();
+        assert!(frac.fractions.iter().any(|&(_, _, x)| x < 1.0 - 1e-9));
+        let slots = build_slots(&inst, &frac, 1);
+        let (f, res, pair_arcs) = match_slots(&inst, &slots);
+        assert!((res.flow - 5.0).abs() < 1e-9);
+        for (_, _, arc) in pair_arcs {
+            let x = f.flow_on(arc);
+            assert!(
+                mec_num::approx_eq(x, 0.0, 0.0) || mec_num::approx_eq(x, 1.0, 0.0),
+                "item→slot arc carries {x}"
+            );
+        }
     }
 
     #[test]

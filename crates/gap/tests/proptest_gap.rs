@@ -4,7 +4,9 @@
 //! * the Shmoys–Tardos assignment costs no more than the LP optimum;
 //! * the LP optimum lower-bounds the exact integral optimum;
 //! * rounding never overflows a bin by more than the largest item weight;
-//! * the transportation fast path agrees with the general LP relaxation;
+//! * the transportation fast path agrees with the general LP relaxation,
+//!   also on instances with fractional weights, forbidden pairs,
+//!   zero-capacity bins and exact cost ties, and fails exactly when it does;
 //! * the `verify::check_assignment` certifier accepts every rounded output.
 
 use mec_gap::{check_assignment, exact, greedy, lp_relax, shmoys_tardos, GapInstance, FORBIDDEN};
@@ -54,8 +56,99 @@ fn build(r: &RandInst) -> GapInstance {
     inst
 }
 
+/// A transportation-class instance (per-item uniform weights) built to be
+/// degenerate: costs drawn from a few integers tie exactly, some pairs are
+/// forbidden, some bins have zero capacity, and the capacities may not
+/// cover the total weight.
+#[derive(Debug, Clone)]
+struct TransportInst {
+    items: usize,
+    bins: usize,
+    costs: Vec<f64>,
+    forbidden: Vec<bool>,
+    weights: Vec<f64>,
+    /// Per bin: its share of the total weight (zero = zero capacity).
+    cap_share: Vec<f64>,
+}
+
+fn transport_inst() -> impl Strategy<Value = TransportInst> {
+    (2usize..9, 2usize..6).prop_flat_map(|(items, bins)| {
+        // Half the costs are small integers (exact ties), a seventh of the
+        // items weigh nothing, a quarter of the pairs are forbidden and a
+        // quarter of the bins have no capacity.
+        let cost = (0u8..2, 1u8..4, 0.1..10.0f64)
+            .prop_map(|(k, tie, x)| if k == 0 { f64::from(tie) } else { x });
+        let weight = (0u8..7, 0.05..2.0f64).prop_map(|(k, w)| if k == 0 { 0.0 } else { w });
+        let forbidden = (0u8..4).prop_map(|k| k == 0);
+        let share = (0u8..4, 0.1..0.8f64).prop_map(|(k, x)| if k == 0 { 0.0 } else { x });
+        (
+            Just(items),
+            Just(bins),
+            proptest::collection::vec(cost, items * bins),
+            proptest::collection::vec(forbidden, items * bins),
+            proptest::collection::vec(weight, items),
+            proptest::collection::vec(share, bins),
+        )
+            .prop_map(|(items, bins, costs, forbidden, weights, cap_share)| {
+                TransportInst {
+                    items,
+                    bins,
+                    costs,
+                    forbidden,
+                    weights,
+                    cap_share,
+                }
+            })
+    })
+}
+
+fn build_transport(r: &TransportInst) -> GapInstance {
+    let mut inst = GapInstance::new(r.items, r.bins);
+    let total: f64 = r.weights.iter().sum();
+    for i in 0..r.items {
+        for j in 0..r.bins {
+            let k = i * r.bins + j;
+            inst.set_cost(
+                i,
+                j,
+                if r.forbidden[k] {
+                    FORBIDDEN
+                } else {
+                    r.costs[k]
+                },
+            );
+        }
+        inst.set_item_weight(i, r.weights[i]);
+    }
+    for j in 0..r.bins {
+        inst.set_capacity(j, r.cap_share[j] * total);
+    }
+    inst
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The network simplex behind the transportation fast path against the
+    /// revised simplex on the general LP: the same optimum within 1e-6, or
+    /// the same error.
+    #[test]
+    fn transportation_matches_revised_on_degenerate_instances(r in transport_inst()) {
+        let inst = build_transport(&r);
+        prop_assert!(inst.has_uniform_allowed_weights());
+        let lp = lp_relax::solve_lp_with(&inst, SolverBackend::Revised);
+        let flow = lp_relax::solve_transportation(&inst);
+        match (lp, flow) {
+            (Ok(a), Ok(b)) => {
+                prop_assert!((a.objective - b.objective).abs() < 1e-6 * (1.0 + a.objective.abs()),
+                    "revised {} vs transportation {}", a.objective, b.objective);
+                prop_assert!(b.covers_all_items(r.items));
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "revised {:?} vs transportation {:?}",
+                a.map(|s| s.objective), b.map(|s| s.objective)),
+        }
+    }
 
     #[test]
     fn st_cost_at_most_lp(r in rand_inst()) {

@@ -155,6 +155,11 @@ pub const REGISTRY: &[Probe] = &[
     },
     // GAP rounding (crates/gap)
     Probe {
+        name: "gap.flow.pivots",
+        kind: ProbeKind::Counter,
+        help: "Network-simplex pivots executed by the min-cost-flow solver.",
+    },
+    Probe {
         name: "gap.lp_relax",
         kind: ProbeKind::Span,
         help: "Time solving the fractional GAP relaxation.",
