@@ -10,6 +10,8 @@
 //!   allocations-avoided proxy (the recompute path pays three heap
 //!   allocations per best-response query — congestion, loads, residual —
 //!   plus one profile clone per round; the incremental path pays none).
+//!   `--quick` times a one-cell grid and writes `BENCH_dynamics.local.json`
+//!   (gitignored) instead.
 //!
 //! * **appro** (`sweepbench appro`) — the end-to-end `appro` pipeline over
 //!   a providers × cloudlets grid, one timing per LP backend (dense
@@ -593,7 +595,8 @@ fn main() {
     // The checked-in BENCH_dynamics.json is a release-build artifact; a
     // debug run times the differential debug_assert in apply_move — and an
     // --obs run times the probes too — not the algorithm, so neither may
-    // overwrite the recorded numbers.
+    // overwrite the recorded numbers. A --quick run's one-cell grid goes
+    // to a local (gitignored) file instead of the checked-in grid.
     if cfg!(debug_assertions) || mec_obs::sink_installed() {
         eprintln!(
             "sweepbench: {} — refusing to overwrite BENCH_dynamics.json \
@@ -605,7 +608,13 @@ fn main() {
             }
         );
     } else {
-        std::fs::write("BENCH_dynamics.json", &json).expect("write BENCH_dynamics.json");
+        let path = if quick {
+            "BENCH_dynamics.local.json"
+        } else {
+            "BENCH_dynamics.json"
+        };
+        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("sweepbench: wrote {path}");
     }
     println!("{json}");
     mec_obs::shutdown();

@@ -254,6 +254,21 @@ impl<'m> GameState<'m> {
     ///
     /// Returns `None` when no candidate at all is available.
     pub fn best_response(&self, l: ProviderId) -> Option<(Placement, f64)> {
+        self.best_response_within(l, |i| Some(self.residual(i)))
+    }
+
+    /// [`GameState::best_response`] over a restricted view of the
+    /// cloudlets: `free(i)` is the free space the provider may see at `i`
+    /// with itself *not* removed (normally [`GameState::residual`], less
+    /// any capacity held back elsewhere), or `None` to exclude `i` from
+    /// the candidates. Candidate costs and tie-breaking are those of the
+    /// unrestricted call, which is this one with every cloudlet at its
+    /// residual.
+    pub fn best_response_within(
+        &self,
+        l: ProviderId,
+        free: impl Fn(CloudletId) -> Option<(f64, f64)>,
+    ) -> Option<(Placement, f64)> {
         let market = self.market;
         let current = self.profile.placement(l);
         let spec = market.provider(l);
@@ -276,9 +291,11 @@ impl<'m> GameState<'m> {
             consider(Placement::Remote, spec.remote_cost);
         }
         for i in market.cloudlets() {
+            let Some((mut free_a, mut free_b)) = free(i) else {
+                continue;
+            };
             // Candidates see the "others only" state: remove l from its own
             // cloudlet before checking fit and congestion.
-            let (mut free_a, mut free_b) = self.residual(i);
             let mut others = self.sigma[i.index()];
             if current == Placement::Cloudlet(i) {
                 free_a += spec.compute_demand;
@@ -406,6 +423,29 @@ mod tests {
         }
         for l in m.providers() {
             assert_eq!(s.best_response(l), best_response(&m, s.profile(), l), "{l}");
+        }
+    }
+
+    #[test]
+    fn restricted_best_response_skips_excluded_and_held_back_space() {
+        let m = market(8);
+        let mut s = GameState::all_remote(&m);
+        for k in 0..6 {
+            s.apply_move(ProviderId(k), Placement::Cloudlet(CloudletId(k % 3)));
+        }
+        for l in m.providers() {
+            // Only cloudlet 1, and nothing free there: never a cloudlet
+            // other than the one the provider already occupies.
+            let only_own = s.best_response_within(l, |i| (i.index() == 1).then_some((0.0, 0.0)));
+            match only_own {
+                Some((Placement::Cloudlet(i), _)) => {
+                    assert_eq!(s.placement(l), Placement::Cloudlet(i), "{l}")
+                }
+                Some((Placement::Remote, _)) | None => {}
+            }
+            // Every cloudlet excluded: the remote option or nothing.
+            let none = s.best_response_within(l, |_| None);
+            assert!(matches!(none, Some((Placement::Remote, _)) | None), "{l}");
         }
     }
 

@@ -45,7 +45,7 @@ impl DemandTracker {
 
     /// An empty tracker: every [`DemandTracker::note`] is ignored and
     /// every [`DemandTracker::take`] returns zero. Contexts built without
-    /// an I/O side (the drain benchmark, the legacy in-process driver)
+    /// an I/O side (the drain benchmark, the in-process `run_market`)
     /// use this so the hot-first ordering stays inert.
     pub fn disabled() -> DemandTracker {
         DemandTracker::new(0)

@@ -6,10 +6,10 @@
 //! the market data plane itself. This bench isolates the writer path: a
 //! seeded join/leave churn stream is routed straight into the per-shard
 //! command queues (exactly how the I/O threads route, owner lookup
-//! through the [`Router`]) *before* the writers start, then the clock
-//! runs from spawn to the end of the coordinated drain — final
-//! equilibrium convergence included, since shrinking those maintenance
-//! sweeps is half the point of region sharding.
+//! through the [`crate::shard::Router`]) *before* the writers start,
+//! then the clock runs from spawn to the end of the coordinated drain —
+//! final equilibrium convergence included, since shrinking those
+//! maintenance sweeps is half the point of region sharding.
 //!
 //! Preloading makes this a saturation measurement: every queue stays
 //! deep for the whole run, channel wakeups amortize across maximal
@@ -20,7 +20,6 @@
 //! over the shard's own providers. This is the workload behind the CI
 //! shard-scaling gate (`cargo xtask tailgate scale`).
 
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,10 +27,10 @@ use mec_core::model::Market;
 use mec_core::Profile;
 
 use crate::chan;
-use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Reply, ShardCtx};
-use crate::server::region_map;
-use crate::shard::{Coordinator, DrainOp, Router, ShardGauges};
-use crate::view::{MarketView, SharedView};
+use crate::demand::DemandTracker;
+use crate::market::{Command, MarketConfig, Reply};
+use crate::server::{join_writers, region_map, Plumbing};
+use crate::shard::DrainOp;
 
 /// Knobs of [`drain_bench`].
 #[derive(Debug, Clone)]
@@ -81,6 +80,10 @@ pub struct DrainReport {
     pub equilibrium: bool,
     /// Drain certificate violations (non-empty only with `verify`).
     pub violations: Vec<String>,
+    /// Drained placement profile, merged across shards.
+    pub profile: Profile,
+    /// Drained admission mask, merged across shards.
+    pub active: Vec<bool>,
 }
 
 impl DrainReport {
@@ -129,6 +132,21 @@ fn next_rand(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seeded join/leave churn stream [`drain_bench`] pushes over `n`
+/// providers: `(provider, join?)` in order — a provider's first draw is a
+/// join, its next a leave, and so on.
+pub fn churn_stream(n: usize, commands: usize, seed: u64) -> Vec<(usize, bool)> {
+    let mut rng = seed;
+    let mut joined = vec![false; n];
+    (0..commands)
+        .map(|_| {
+            let p = (next_rand(&mut rng) % n as u64) as usize;
+            joined[p] = !joined[p];
+            (p, joined[p])
+        })
+        .collect()
+}
+
 /// Runs the drain benchmark over `market`.
 ///
 /// `regions` is the cloudlet→shard map (`None` derives a contiguous
@@ -146,69 +164,43 @@ pub fn drain_bench(
     let n = market.provider_count();
     let m = market.cloudlet_count();
     let shards = cfg.shards.clamp(1, m.max(1));
-    let region_of = region_map(regions.as_ref(), m, shards)?;
-
-    let views: Vec<Arc<SharedView>> = (0..shards)
-        .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
-        .collect();
-    let router = Arc::new(Router::new(n, shards));
-    let gauges = Arc::new(ShardGauges::new(shards));
-    let coord = Arc::new(Coordinator::new(shards, region_of.clone(), 0));
-    // The I/O side of this bench is already gone when the writers start
-    // (the whole stream is preloaded), so the counter starts at zero and
-    // the queued drain command governs teardown.
-    let io_live = Arc::new(AtomicUsize::new(0));
-
     // Queues sized to the stream: the preload never blocks, and every
-    // writer sees saturation depth from its first batch to its last.
-    let mut txs = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = chan::bounded::<Command>(cfg.commands + 2);
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    // writer sees saturation depth from its first batch to its last. The
+    // I/O side of this bench is already gone when the writers start (the
+    // whole stream is preloaded), so no producer is live and the queued
+    // drain command governs teardown.
+    let mut plumbing = Plumbing::new(
+        n,
+        region_map(regions.as_ref(), m, shards)?,
+        0,
+        cfg.commands + 2,
+        0,
+    );
 
     // Preload: route by owner lookup, exactly like an I/O thread. The
     // stream is identical across shard counts (same seed, same order);
     // only the routing differs. Ownership that moves mid-drain (a
     // forwarded join) is chased by the receiving shard — the normal
     // stale-route path.
-    let mut rng = cfg.seed;
-    let mut joined = vec![false; n];
-    for _ in 0..cfg.commands {
-        let p = (next_rand(&mut rng) % n as u64) as usize;
+    for (provider, join) in churn_stream(n, cfg.commands, cfg.seed) {
         let (tx, _rx) = chan::oneshot();
-        let cmd = if joined[p] {
-            joined[p] = false;
-            Command::Leave {
-                provider: p,
-                reply: Reply::Oneshot(tx),
+        let reply = Reply::Oneshot(tx);
+        let cmd = if join {
+            Command::Join {
+                provider,
+                cloudlet: None,
+                reply,
             }
         } else {
-            joined[p] = true;
-            Command::Join {
-                provider: p,
-                cloudlet: None,
-                reply: Reply::Oneshot(tx),
-            }
+            Command::Leave { provider, reply }
         };
-        let k = router.owner(p).min(shards - 1);
-        let _ = txs[k].send(cmd);
+        let _ = plumbing.txs[plumbing.router.owner(provider)].send(cmd);
     }
-    // Teardown rides at the back of every queue: coordinated drain at
-    // several shards, the legacy shutdown command at one.
-    if shards > 1 {
-        let (tx, _rx) = chan::oneshot();
-        let op = Arc::new(DrainOp::new(shards, Reply::Oneshot(tx)));
-        for tx_k in &txs {
-            let _ = tx_k.send(Command::DrainAll { op: op.clone() });
-        }
-    } else {
-        let (tx, _rx) = chan::oneshot();
-        let _ = txs[0].send(Command::Shutdown {
-            reply: Reply::Oneshot(tx),
-        });
+    // Teardown rides at the back of every queue: the coordinated drain.
+    let (tx, _rx) = chan::oneshot();
+    let op = Arc::new(DrainOp::new(shards, Reply::Oneshot(tx)));
+    for tx_k in &plumbing.txs {
+        let _ = tx_k.send(Command::DrainAll { op: op.clone() });
     }
 
     let market_cfg = MarketConfig {
@@ -216,65 +208,31 @@ pub fn drain_bench(
         batch_max: cfg.batch_max,
         snapshot_path: None,
     };
-
     let started = Instant::now();
-    let mut threads = Vec::with_capacity(shards);
-    for (k, rx) in rxs.into_iter().enumerate() {
-        let mine: Vec<bool> = region_of.iter().map(|&r| r == k).collect();
-        let ctx = ShardCtx::new(
-            k,
-            shards,
-            mine,
-            router.clone(),
-            if shards > 1 { txs.clone() } else { Vec::new() },
-            if shards > 1 {
-                views.clone()
-            } else {
-                Vec::new()
-            },
-            coord.clone(),
-            gauges.clone(),
-            (shards > 1).then(|| io_live.clone()),
-        );
-        let shard_market = market.clone();
-        let profile = Profile::all_remote(n);
-        let active = vec![false; n];
-        let view = views[k].clone();
-        let cfg_k = market_cfg.clone();
-        // Writer threads under measurement; joined below, never leaked.
-        // lint: allow(thread-spawn)
-        threads.push(std::thread::spawn(move || {
-            run_shard(shard_market, profile, active, 0, &rx, &view, &cfg_k, &ctx)
-        }));
-    }
-    drop(txs);
-
-    let mut outcomes: Vec<MarketOutcome> = Vec::with_capacity(shards);
-    for t in threads {
-        match t.join() {
-            Ok(o) => outcomes.push(o),
-            Err(e) => std::panic::resume_unwind(e),
-        }
-    }
+    let writers = plumbing.spawn(
+        &market,
+        &Profile::all_remote(n),
+        &vec![false; n],
+        0,
+        &market_cfg,
+        &Arc::new(DemandTracker::disabled()),
+        || {},
+    );
+    let outcome = join_writers(writers);
     let elapsed = started.elapsed();
 
-    let mut report = DrainReport {
+    Ok(DrainReport {
         shards,
         commands: cfg.commands,
         elapsed,
-        per_shard: (0..shards).map(|k| gauges.writes(k)).collect(),
-        epochs: 0,
-        moves: 0,
-        equilibrium: true,
-        violations: Vec::new(),
-    };
-    for o in outcomes {
-        report.epochs += o.epochs;
-        report.moves += o.moves;
-        report.equilibrium &= o.equilibrium;
-        report.violations.extend(o.violations);
-    }
-    Ok(report)
+        per_shard: (0..shards).map(|k| plumbing.gauges.writes(k)).collect(),
+        epochs: outcome.epochs,
+        moves: outcome.moves,
+        equilibrium: outcome.equilibrium,
+        violations: outcome.violations,
+        profile: outcome.profile,
+        active: outcome.active,
+    })
 }
 
 #[cfg(test)]
@@ -337,6 +295,8 @@ mod tests {
             moves: 2,
             equilibrium: true,
             violations: Vec::new(),
+            profile: Profile::all_remote(1),
+            active: vec![false],
         };
         let j = r.to_json();
         assert!(j.contains("\"benchmark\":\"serve-drain\""));

@@ -556,12 +556,10 @@ fn dispatch(
         conn: conn_id,
         req: req_id,
     };
-    if shared.shards() > 1
-        && matches!(
-            req,
-            Request::Snapshot | Request::Restore | Request::Shutdown
-        )
-    {
+    if matches!(
+        req,
+        Request::Snapshot | Request::Restore | Request::Shutdown
+    ) {
         fan_out_admin(conn, req_id, &req, reply, shared, backlog);
         return;
     }
@@ -583,7 +581,7 @@ fn dispatch(
     backlog.push_back((shard, cmd)); // lint: allow(growth) — same BACKLOG_PAUSE bound as above
 }
 
-/// Fans a multi-shard admin request out to every shard queue: `snapshot`
+/// Fans an admin request out to every shard queue: `snapshot`
 /// and `restore` become a coordinated two-phase op (prepare now; the
 /// last prepare-acker enqueues the apply fan-out), `shutdown` a drain
 /// barrier. The single client reply travels inside the shared op and the

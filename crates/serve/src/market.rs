@@ -22,7 +22,7 @@
 //! waits for at most one quantum, never a full convergence run — while
 //! the exact-potential argument still guarantees the dynamics terminate
 //! once the queue goes quiet. At equilibrium with an empty queue the
-//! thread blocks on the channel and costs nothing.
+//! thread sleeps on the channel, waking each idle tick for housekeeping.
 //!
 //! [`GameState`] borrows the market, so commands that must mutate the
 //! market itself (demand updates, restores) publish and acknowledge the
@@ -39,8 +39,7 @@ use std::time::{Duration, Instant};
 use mec_core::game::IMPROVEMENT_TOL;
 use mec_core::model::Market;
 use mec_core::{
-    load_snapshot, save_snapshot, save_snapshot_sharded, GameState, Placement, Profile, ProviderId,
-    ShardMeta,
+    load_snapshot, save_snapshot_sharded, GameState, Placement, Profile, ProviderId, ShardMeta,
 };
 use mec_topology::CloudletId;
 
@@ -57,9 +56,8 @@ use crate::view::{MarketView, SharedView};
 /// Same slack as [`Market::fits`], used when debiting reservations.
 const CAP_SLACK: f64 = 1e-9;
 
-/// How long an idle sharded writer sleeps between housekeeping ticks
-/// (rebalance scans, noticing the I/O side went away). Single-shard
-/// markets keep the legacy behavior of blocking indefinitely.
+/// How long an idle writer sleeps between housekeeping ticks (rebalance
+/// scans, noticing the I/O side went away).
 const IDLE_TICK: Duration = Duration::from_millis(10);
 
 /// Housekeeping ticks between cross-shard rebalance scans.
@@ -137,17 +135,8 @@ pub enum Command {
         /// Reply route.
         reply: Reply,
     },
-    /// Write the snapshot file now.
-    Snapshot {
-        /// Reply route.
-        reply: Reply,
-    },
-    /// Reload state from the snapshot file.
-    Restore {
-        /// Reply route.
-        reply: Reply,
-    },
-    /// Begin a graceful drain.
+    /// Drain this shard (in-process drivers; the event loop fans a
+    /// client `shutdown` out to every shard as [`Command::DrainAll`]).
     Shutdown {
         /// Reply route.
         reply: Reply,
@@ -206,7 +195,7 @@ pub enum Command {
         /// Provider id.
         provider: usize,
     },
-    /// (coordinated) Phase 1 of a multi-shard snapshot/restore: pause
+    /// (coordinated) Phase 1 of a snapshot/restore: pause
     /// migrations and ack once in-flight handoffs have resolved.
     Prepare {
         /// The coordinated operation.
@@ -217,16 +206,17 @@ pub enum Command {
         /// The coordinated operation.
         op: Arc<CoordOp>,
     },
-    /// (coordinated) Graceful drain of a sharded daemon.
+    /// (coordinated) Graceful drain of the whole daemon.
     DrainAll {
         /// The shared drain barrier.
         op: Arc<DrainOp>,
     },
 }
 
-/// Builds the market command for a mutating request. Read requests are
-/// answered from the view and never reach the market thread; asking for
-/// a command for one returns the error response to send instead.
+/// Builds the market command for a provider write. Read requests are
+/// answered from the view and admin requests fan out through the
+/// coordinator (see `eventloop::fan_out_admin`), so neither maps to one
+/// command; asking for one returns the error response to send instead.
 pub fn command_for(req: Request, reply: Reply) -> Result<Command, Response> {
     Ok(match req {
         Request::Join { provider, cloudlet } => Command::Join {
@@ -245,12 +235,14 @@ pub fn command_for(req: Request, reply: Reply) -> Result<Command, Response> {
             bandwidth,
             reply,
         },
-        Request::Snapshot => Command::Snapshot { reply },
-        Request::Restore => Command::Restore { reply },
-        Request::Shutdown => Command::Shutdown { reply },
         Request::Query { .. } | Request::Stats => {
             return Err(Response::Error {
                 msg: "read requests are answered from the view".to_string(),
+            })
+        }
+        Request::Snapshot | Request::Restore | Request::Shutdown => {
+            return Err(Response::Error {
+                msg: "admin requests fan out through the coordinator".to_string(),
             })
         }
     })
@@ -281,8 +273,8 @@ impl Default for MarketConfig {
 
 /// Everything one shard's writer thread shares with the rest of the
 /// daemon: its region, the ownership router, peer queues and views, and
-/// the coordination barriers. The legacy single-market entry point
-/// ([`run_market`]) builds a trivial one-shard context.
+/// the coordination barriers. A one-shard daemon is the plain case: its
+/// only shard owns every cloudlet and every provider.
 pub struct ShardCtx {
     /// This shard's index.
     pub index: usize,
@@ -292,8 +284,8 @@ pub struct ShardCtx {
     pub mine: Vec<bool>,
     /// Provider→shard ownership map (shared with the I/O threads).
     pub router: Arc<Router>,
-    /// Command senders to every shard, self included (empty in the
-    /// legacy wrapper — nothing is ever forwarded at one shard).
+    /// Command senders to every shard, self included (empty in a
+    /// [`ShardCtx::solo`] context).
     pub peers: Vec<Sender<Command>>,
     /// Published views of every shard, self included (used for
     /// cross-shard rebalance estimates).
@@ -302,8 +294,8 @@ pub struct ShardCtx {
     pub coord: Arc<Coordinator>,
     /// Per-shard depth/write gauges read by `stats`.
     pub gauges: Arc<ShardGauges>,
-    /// Live I/O-side senders; at zero the shard self-drains. `None` in
-    /// the legacy wrapper, which relies on channel disconnection.
+    /// Live I/O-side senders; at zero the shard self-drains. `None` in a
+    /// [`ShardCtx::solo`] context, which relies on channel disconnection.
     pub io_live: Option<Arc<AtomicUsize>>,
     /// Per-provider query counters noted by the I/O side; folded into
     /// demand EWMAs at quantum start. Defaults to the inert
@@ -360,6 +352,24 @@ impl ShardCtx {
         }
     }
 
+    /// The context of a market that is its own only shard, run by an
+    /// in-process driver holding the queue's only senders ([`run_market`],
+    /// the scenario replay): no peers, so no coordinated snapshot or
+    /// restore, and teardown by a queued shutdown or by disconnection.
+    pub fn solo(providers: usize, cloudlets: usize) -> ShardCtx {
+        ShardCtx::new(
+            0,
+            1,
+            vec![true; cloudlets],
+            Arc::new(Router::new(providers, 1)),
+            Vec::new(),
+            Vec::new(),
+            Arc::new(Coordinator::new(1, vec![0; cloudlets], 0)),
+            Arc::new(ShardGauges::new(1)),
+            None,
+        )
+    }
+
     /// Attaches the live demand tracker shared with the I/O threads
     /// (builder-style; the default context carries an inert tracker).
     pub fn with_demand(mut self, demand: Arc<DemandTracker>) -> ShardCtx {
@@ -372,7 +382,12 @@ impl ShardCtx {
         self.mine.get(c).copied().unwrap_or(false)
     }
 
-    /// `true` once every I/O-side sender has exited (sharded daemons
+    /// `true` if some cloudlet belongs to another shard's region.
+    fn has_peer_region(&self) -> bool {
+        self.mine.contains(&false)
+    }
+
+    /// `true` once every I/O-side sender has exited (a daemon's writers
     /// cannot rely on channel disconnection — peers hold senders too).
     fn io_gone(&self) -> bool {
         self.io_live
@@ -407,8 +422,6 @@ pub struct MarketOutcome {
 enum Pending {
     /// `update_demand`: settle eviction on the rebuilt state.
     Update(ProviderId, Reply),
-    /// `restore`: acknowledge with the restored sequence number.
-    Restore(u64, Reply),
     /// A forwarded join whose demands were synced into the market.
     Forward {
         /// Provider id.
@@ -505,11 +518,11 @@ impl Book {
     }
 }
 
-/// Runs the market thread to completion. `market`/`profile`/`active`/`seq`
-/// are the boot state (possibly restored from a snapshot by the caller);
-/// the function returns when a `shutdown` command drains it or every
-/// sender disappears. This is the legacy single-shard entry point; a
-/// sharded daemon runs [`run_shard`] once per region.
+/// Runs a market as its own only shard ([`ShardCtx::solo`]) to
+/// completion. `market`/`profile`/`active`/`seq` are the boot state
+/// (possibly restored from a snapshot by the caller); the function
+/// returns when a `shutdown` command drains it or every sender
+/// disappears. A daemon runs [`run_shard`] once per region instead.
 pub fn run_market(
     market: Market,
     profile: Profile,
@@ -519,25 +532,13 @@ pub fn run_market(
     view: &SharedView,
     cfg: &MarketConfig,
 ) -> MarketOutcome {
-    let n = market.provider_count();
-    let m = market.cloudlet_count();
-    let ctx = ShardCtx::new(
-        0,
-        1,
-        vec![true; m],
-        Arc::new(Router::new(n, 1)),
-        Vec::new(),
-        Vec::new(),
-        Arc::new(Coordinator::new(1, vec![0; m], 0)),
-        Arc::new(ShardGauges::new(1)),
-        None,
-    );
+    let ctx = ShardCtx::solo(market.provider_count(), market.cloudlet_count());
     run_shard(market, profile, active, seq, rx, view, cfg, &ctx)
 }
 
-/// Runs one shard's writer thread to completion: the single-shard serving
-/// loop plus cross-shard forwarding, two-phase migration, and the
-/// coordinated snapshot/restore/drain protocol.
+/// Runs one shard's writer thread to completion: the batched serving loop,
+/// cross-shard forwarding, two-phase migration, and the coordinated
+/// snapshot/restore/drain protocol.
 #[allow(clippy::too_many_arguments)]
 pub fn run_shard(
     mut market: Market,
@@ -571,9 +572,6 @@ pub fn run_shard(
             Some(Pending::Update(l, reply)) => {
                 settled = Some((settle_update(&mut state, &mut book, l), reply));
             }
-            Some(Pending::Restore(seq, reply)) => {
-                settled = Some((Response::Restored { seq }, reply));
-            }
             Some(Pending::Forward {
                 provider,
                 cloudlet,
@@ -605,19 +603,17 @@ pub fn run_shard(
         loop {
             drain_outbound(&mut book, ctx);
             if carry.is_empty() {
-                // Block only at equilibrium; otherwise peek nonblockingly
-                // and spend empty gaps on maintenance quanta. A sharded
-                // writer never blocks forever: peers hold its sender, so
+                // Wait only at equilibrium; otherwise peek nonblockingly
+                // and spend empty gaps on maintenance quanta. The writer
+                // never blocks forever: peers hold its sender, so
                 // disconnection cannot signal teardown — it wakes on an
                 // idle tick to rebalance and to notice the I/O side died.
-                let timeout = if !book.equilibrium {
-                    Some(Duration::ZERO)
-                } else if ctx.shards > 1 {
-                    Some(IDLE_TICK)
+                let timeout = if book.equilibrium {
+                    IDLE_TICK
                 } else {
-                    None
+                    Duration::ZERO
                 };
-                match rx.recv_batch(&mut batch, cfg.batch_max, timeout) {
+                match rx.recv_batch(&mut batch, cfg.batch_max, Some(timeout)) {
                     Ok((taken, depth)) => {
                         mec_obs::record("serve.drain.batch", taken as u64);
                         mec_obs::record("serve.drain.depth", depth as u64);
@@ -632,18 +628,15 @@ pub fn run_shard(
                         } else {
                             maybe_rebalance(&state, &mut book, ctx);
                         }
-                        if ctx.shards > 1 && ctx.io_gone() {
+                        if ctx.io_gone() {
                             return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
                         }
                         continue;
                     }
-                    // Every sender (I/O threads) is gone: the server is
-                    // tearing down without a drain command.
+                    // Every sender is gone: the driver is tearing down
+                    // without a drain command.
                     Err(RecvTimeout::Disconnected) => {
-                        if ctx.shards > 1 {
-                            return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
-                        }
-                        return finish(state, book, cfg, ctx);
+                        return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
                     }
                 }
             }
@@ -803,9 +796,13 @@ pub fn run_shard(
                     }
                     Command::Apply { op } => match op.kind {
                         CoordKind::Snapshot => {
-                            if let Err(msg) = write_shard_slice(&state, &book, cfg, ctx, op.epoch) {
+                            let wrote = snapshot_base(cfg).and_then(|base| {
+                                write_shard_slice(&state, &book, ctx, base, op.epoch)
+                            });
+                            if let Err(msg) = wrote {
                                 op.push_error(msg);
                             }
+                            op.fold_seq(book.seq);
                             book.paused = false;
                             complete_apply(&op, cfg);
                         }
@@ -905,85 +902,14 @@ pub fn run_shard(
                             continue 'rebuild;
                         }
                     }
-                    Command::Restore { reply } => {
-                        if ctx.shards > 1 {
-                            // Sharded daemons restore through the
-                            // coordinated Prepare/Apply fan-out.
-                            acks.push((
-                                reply,
-                                Response::Error {
-                                    msg: "sharded restore must go through the coordinator"
-                                        .to_string(),
-                                },
-                            ));
-                            continue;
-                        }
-                        let Some(path) = cfg.snapshot_path.as_deref() else {
-                            acks.push((
-                                reply,
-                                Response::Error {
-                                    msg: "daemon was started without --snapshot".to_string(),
-                                },
-                            ));
-                            continue;
-                        };
-                        match load_snapshot(path) {
-                            Ok(snap) => {
-                                // Acknowledged only after the rebuild
-                                // publishes the rewound view (see the
-                                // 'rebuild prologue).
-                                publish_timed(view, &state, &book, ctx);
-                                flush_acks(&mut acks);
-                                drop(state.into_profile());
-                                market = snap.market;
-                                profile = snap.profile;
-                                book.active = snap.active;
-                                book.seq = snap.seq;
-                                book.equilibrium = false;
-                                book.cursor = 0;
-                                pending = Some(Pending::Restore(snap.seq, reply));
-                                continue 'rebuild;
-                            }
-                            Err(e) => acks.push((
-                                reply,
-                                Response::Error {
-                                    msg: format!("restore failed: {e}"),
-                                },
-                            )),
-                        }
-                    }
-                    Command::Snapshot { reply } => {
-                        if ctx.shards > 1 {
-                            acks.push((
-                                reply,
-                                Response::Error {
-                                    msg: "sharded snapshot must go through the coordinator"
-                                        .to_string(),
-                                },
-                            ));
-                        } else {
-                            acks.push((reply, write_snapshot(&state, &book, cfg)));
-                        }
-                    }
                     Command::Shutdown { reply } => {
                         // Settle the batch prefix, announce the drain, and
-                        // refuse whatever raced in behind us.
+                        // drain with the full protocol so in-flight
+                        // migrations still resolve.
                         publish_timed(view, &state, &book, ctx);
                         flush_acks(&mut acks);
                         reply.send(Response::Draining);
-                        if ctx.shards > 1 {
-                            // A stray legacy shutdown on a sharded daemon
-                            // drains this shard with the full protocol so
-                            // in-flight migrations still resolve.
-                            return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
-                        }
-                        for cmd in carry.drain(..) {
-                            refuse(cmd);
-                        }
-                        for cmd in rx.try_drain() {
-                            refuse(cmd);
-                        }
-                        return finish(state, book, cfg, ctx);
+                        return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
                     }
                 }
             }
@@ -1028,7 +954,7 @@ fn free_at(state: &GameState<'_>, book: &Book, i: CloudletId) -> (f64, f64) {
 /// `true` if this shard no longer owns `provider` (the router moved it
 /// after the I/O thread picked a queue).
 fn misrouted(ctx: &ShardCtx, provider: usize) -> bool {
-    ctx.shards > 1 && ctx.router.owner(provider) != ctx.index
+    ctx.router.owner(provider) != ctx.index
 }
 
 /// Re-routes a misrouted command to the current owner. The chase
@@ -1051,7 +977,7 @@ fn send_peer(book: &mut Book, ctx: &ShardCtx, target: usize, cmd: Command) {
 fn drain_outbound(book: &mut Book, ctx: &ShardCtx) {
     while let Some((target, cmd)) = book.outbound.pop_front() {
         let Some(tx) = ctx.peers.get(target) else {
-            // Legacy wrapper: no peers, nothing to deliver.
+            // Solo context: no peers, nothing to deliver.
             continue;
         };
         match tx.try_send(cmd) {
@@ -1193,7 +1119,8 @@ fn resolve_parked(book: &mut Book, ctx: &ShardCtx) {
     }
 }
 
-/// Acks an apply; the last shard answers the client — and, for a clean
+/// Acks an apply; the last shard answers the client with the op's folded
+/// seq (the newest state any shard wrote or restored) — and, for a clean
 /// snapshot, writes the manifest first (manifest last on disk, so a crash
 /// leaves either the previous complete set or the new one).
 fn complete_apply(op: &Arc<CoordOp>, cfg: &MarketConfig) {
@@ -1202,51 +1129,37 @@ fn complete_apply(op: &Arc<CoordOp>, cfg: &MarketConfig) {
     }
     let errors = op.take_errors();
     let Some(reply) = op.take_reply() else { return };
-    let resp = if !errors.is_empty() {
-        Response::Error {
-            msg: errors.join("; "),
-        }
+    let done = if !errors.is_empty() {
+        Err(errors.join("; "))
     } else {
         match op.kind {
-            CoordKind::Snapshot => match cfg.snapshot_path.as_deref() {
-                Some(base) => match write_manifest(
-                    base,
-                    &Manifest {
-                        epoch: op.epoch,
-                        shards: op.shards,
-                    },
-                ) {
-                    Ok(()) => Response::Snapshotted { seq: op.epoch },
-                    Err(e) => Response::Error {
-                        msg: format!("manifest write failed: {e}"),
-                    },
-                },
-                None => Response::Error {
-                    msg: "daemon was started without --snapshot".to_string(),
-                },
-            },
-            CoordKind::Restore => Response::Restored { seq: op.seq() },
+            CoordKind::Snapshot => snapshot_base(cfg).and_then(|base| {
+                let set = Manifest {
+                    epoch: op.epoch,
+                    shards: op.shards,
+                };
+                write_manifest(base, &set).map_err(|e| format!("manifest write failed: {e}"))
+            }),
+            CoordKind::Restore => Ok(()),
         }
     };
-    reply.send(resp);
+    reply.send(match (done, op.kind) {
+        (Err(msg), _) => Response::Error { msg },
+        (Ok(()), CoordKind::Snapshot) => Response::Snapshotted { seq: op.seq() },
+        (Ok(()), CoordKind::Restore) => Response::Restored { seq: op.seq() },
+    });
 }
 
-/// Writes this shard's slice of the epoch-`epoch` snapshot set.
-fn write_shard_slice(
-    state: &GameState<'_>,
-    book: &Book,
-    cfg: &MarketConfig,
-    ctx: &ShardCtx,
-    epoch: u64,
-) -> Result<(), String> {
-    let base = cfg
-        .snapshot_path
+/// The configured snapshot base path, or the error a snapshot or restore
+/// answers without one.
+fn snapshot_base(cfg: &MarketConfig) -> Result<&Path, String> {
+    cfg.snapshot_path
         .as_deref()
-        .ok_or_else(|| "daemon was started without --snapshot".to_string())?;
-    write_shard_slice_at(state, book, ctx, base, epoch)
+        .ok_or_else(|| "daemon was started without --snapshot".to_string())
 }
 
-fn write_shard_slice_at(
+/// Writes this shard's slice of the epoch-`epoch` snapshot set at `base`.
+fn write_shard_slice(
     state: &GameState<'_>,
     book: &Book,
     ctx: &ShardCtx,
@@ -1273,15 +1186,18 @@ fn write_shard_slice_at(
 }
 
 /// Loads this shard's slice of the newest manifest-complete snapshot set.
+/// A plain whole-market snapshot (the format before snapshot sets) is a
+/// valid slice for a shard whose region is the whole market.
 fn load_my_slice(cfg: &MarketConfig, ctx: &ShardCtx) -> Result<mec_core::MarketSnapshot, String> {
-    let base = cfg
-        .snapshot_path
-        .as_deref()
-        .ok_or_else(|| "daemon was started without --snapshot".to_string())?;
+    let base = snapshot_base(cfg)?;
     let text =
         std::fs::read_to_string(base).map_err(|e| format!("restore failed: {base:?}: {e}"))?;
-    let manifest =
-        parse_manifest(&text).ok_or_else(|| "snapshot path holds no shard manifest".to_string())?;
+    let Some(manifest) = parse_manifest(&text) else {
+        if ctx.has_peer_region() {
+            return Err("snapshot path holds no shard manifest".to_string());
+        }
+        return load_snapshot(base).map_err(|e| format!("restore failed: {e}"));
+    };
     if manifest.shards != ctx.shards {
         return Err(format!(
             "snapshot set has {} shards, daemon runs {}; restart to re-partition",
@@ -1298,7 +1214,7 @@ fn load_my_slice(cfg: &MarketConfig, ctx: &ShardCtx) -> Result<mec_core::MarketS
 /// from the peer's published view) and start a reserve→commit handoff.
 /// At most one outgoing handoff is in flight per shard.
 fn maybe_rebalance(state: &GameState<'_>, book: &mut Book, ctx: &ShardCtx) {
-    if ctx.shards == 1 || book.paused || book.outgoing.is_some() {
+    if !ctx.has_peer_region() || book.paused || book.outgoing.is_some() {
         return;
     }
     book.ticks += 1;
@@ -1372,58 +1288,6 @@ fn maybe_rebalance(state: &GameState<'_>, book: &mut Book, ctx: &ShardCtx) {
             from: ctx.index,
         },
     );
-}
-
-/// [`GameState::best_response`] restricted to this shard's region, with
-/// migration reservations debited from the residuals. Falls through to
-/// the exact core implementation when nothing restricts the view.
-fn region_best_response(
-    state: &GameState<'_>,
-    book: &Book,
-    ctx: &ShardCtx,
-    l: ProviderId,
-) -> Option<(Placement, f64)> {
-    if ctx.shards == 1 && book.reserved.is_empty() {
-        return state.best_response(l);
-    }
-    let market = state.market();
-    let current = state.placement(l);
-    let spec = market.provider(l);
-    let mut best: Option<(Placement, f64)> = None;
-    let mut consider = |p: Placement, cost: f64| {
-        let better = match best {
-            None => true,
-            Some((bp, bc)) => {
-                cost < bc - IMPROVEMENT_TOL
-                    || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-            }
-        };
-        if better {
-            best = Some((p, cost));
-        }
-    };
-    if spec.can_stay_remote() {
-        consider(Placement::Remote, spec.remote_cost);
-    }
-    for i in market.cloudlets() {
-        if !ctx.owns_cloudlet(i.index()) {
-            continue;
-        }
-        let (mut free_a, mut free_b) = free_at(state, book, i);
-        let mut others = state.congestion(i);
-        if current == Placement::Cloudlet(i) {
-            free_a += spec.compute_demand;
-            free_b += spec.bandwidth_demand;
-            others -= 1;
-        }
-        if market.fits(l, (free_a, free_b)) {
-            consider(
-                Placement::Cloudlet(i),
-                market.caching_cost(l, i, others + 1),
-            );
-        }
-    }
-    best
 }
 
 /// Admission control (Eq. 4–5 against the maintained residuals, net of
@@ -1521,7 +1385,7 @@ fn handle_join(
             ))
         }
         None => {
-            if cloudlet.is_none() && ctx.shards > 1 && hop + 1 < ctx.shards {
+            if cloudlet.is_none() && hop + 1 < ctx.shards {
                 let target = (ctx.index + 1) % ctx.shards;
                 forward_join(state, book, ctx, provider, None, hop + 1, reply, target);
                 return None;
@@ -1590,26 +1454,6 @@ fn settle_update(state: &mut GameState<'_>, book: &mut Book, l: ProviderId) -> R
     }
 }
 
-fn write_snapshot(state: &GameState<'_>, book: &Book, cfg: &MarketConfig) -> Response {
-    let Some(path) = cfg.snapshot_path.as_deref() else {
-        return Response::Error {
-            msg: "daemon was started without --snapshot".to_string(),
-        };
-    };
-    match save_snapshot(
-        path,
-        book.seq,
-        state.market(),
-        state.profile(),
-        &book.active,
-    ) {
-        Ok(()) => Response::Snapshotted { seq: book.seq },
-        Err(e) => Response::Error {
-            msg: format!("snapshot failed: {e}"),
-        },
-    }
-}
-
 /// Folds the query counts the I/O side accumulated since the last
 /// quantum into this shard's per-provider demand EWMAs. Counts for
 /// providers owned by other shards are left in the tracker for their
@@ -1621,7 +1465,7 @@ fn fold_demand(book: &mut Book, ctx: &ShardCtx) {
     }
     let n = book.demand_ewma.len().min(ctx.demand.len());
     for p in 0..n {
-        if ctx.shards > 1 && ctx.router.owner(p) != ctx.index {
+        if ctx.router.owner(p) != ctx.index {
             continue;
         }
         let count = ctx.demand.take(p) as f64;
@@ -1654,12 +1498,18 @@ fn run_quantum(state: &mut GameState<'_>, book: &mut Book, ctx: &ShardCtx, max_m
     while applied < max_moves && quiet_streak < n {
         let l = ProviderId(order[pos % n]);
         pos += 1;
-        if !book.active[l.index()] || (ctx.shards > 1 && ctx.router.owner(l.index()) != ctx.index) {
+        if !book.active[l.index()] || ctx.router.owner(l.index()) != ctx.index {
             quiet_streak += 1;
             continue;
         }
         let current = state.provider_cost(l);
-        match region_best_response(state, book, ctx, l) {
+        // Best response over this shard's region, with migration
+        // reservations held back from the free space.
+        let br = state.best_response_within(l, |i| {
+            ctx.owns_cloudlet(i.index())
+                .then(|| free_at(state, book, i))
+        });
+        match br {
             Some((p, cost)) if p != state.placement(l) && cost < current - IMPROVEMENT_TOL => {
                 state.apply_move(l, p);
                 if matches!(p, Placement::Cloudlet(_)) {
@@ -1802,8 +1652,6 @@ pub(crate) fn refuse(cmd: Command) {
         Command::Join { reply, .. }
         | Command::Leave { reply, .. }
         | Command::Update { reply, .. }
-        | Command::Snapshot { reply }
-        | Command::Restore { reply }
         | Command::JoinForward { reply, .. } => reply.send(draining()),
         Command::Shutdown { reply } => reply.send(Response::Draining),
         // Cross-shard bookkeeping has no client waiting on it.
@@ -1946,8 +1794,8 @@ fn drain_cmd(state: &mut GameState<'_>, book: &mut Book, ctx: &ShardCtx, cmd: Co
 }
 
 /// Drain: run maintenance quanta until the active players reach
-/// equilibrium, write the final snapshot (a shard writes its slice of the
-/// drain-epoch set; the last shard to finish writes the manifest), and
+/// equilibrium, write this shard's slice of the drain-epoch snapshot set
+/// (the last shard to finish writes the manifest), and
 /// (with the `verify` feature) re-certify the placement from first
 /// principles.
 fn finish(
@@ -1967,34 +1815,24 @@ fn finish(
     if let Some(path) = cfg.snapshot_path.as_deref() {
         // Failure here must not abort the drain; the error goes into the
         // outcome for the caller to report.
-        if ctx.shards > 1 {
-            let epoch = ctx.coord.drain_epoch();
-            let wrote = write_shard_slice_at(&state, &book, ctx, path, epoch);
-            if wrote.is_err() {
-                ctx.coord.mark_drain_failed();
+        let epoch = ctx.coord.drain_epoch();
+        let wrote = write_shard_slice(&state, &book, ctx, path, epoch);
+        if wrote.is_err() {
+            ctx.coord.mark_drain_failed();
+        }
+        if ctx.coord.arrive_finished() && !ctx.coord.drain_failed() {
+            if let Err(e) = write_manifest(
+                path,
+                &Manifest {
+                    epoch,
+                    shards: ctx.shards,
+                },
+            ) {
+                return outcome(state, book, vec![format!("final manifest failed: {e}")]);
             }
-            if ctx.coord.arrive_finished() && !ctx.coord.drain_failed() {
-                if let Err(e) = write_manifest(
-                    path,
-                    &Manifest {
-                        epoch,
-                        shards: ctx.shards,
-                    },
-                ) {
-                    return outcome(state, book, vec![format!("final manifest failed: {e}")]);
-                }
-            }
-            if let Err(msg) = wrote {
-                return outcome(state, book, vec![format!("final snapshot failed: {msg}")]);
-            }
-        } else if let Err(e) = save_snapshot(
-            path,
-            book.seq,
-            state.market(),
-            state.profile(),
-            &book.active,
-        ) {
-            return outcome(state, book, vec![format!("final snapshot failed: {e}")]);
+        }
+        if let Err(msg) = wrote {
+            return outcome(state, book, vec![format!("final snapshot failed: {msg}")]);
         }
     }
     let violations = certify(&state, &book, ctx);
@@ -2027,15 +1865,7 @@ fn certify(state: &GameState<'_>, book: &Book, ctx: &ShardCtx) -> Vec<String> {
             .into_iter()
             .map(|v| v.to_string()),
     );
-    if ctx.shards == 1 {
-        out.extend(
-            mec_core::check_nash(market, state.profile(), &book.active, IMPROVEMENT_TOL)
-                .into_iter()
-                .map(|v| v.to_string()),
-        );
-    } else {
-        out.extend(certify_region_nash(state, book, ctx));
-    }
+    out.extend(certify_region_nash(state, book, ctx));
     out
 }
 
@@ -2043,7 +1873,8 @@ fn certify(state: &GameState<'_>, book: &Book, ctx: &ShardCtx) -> Vec<String> {
 /// market copy sees foreign cloudlets as empty (their load lives on other
 /// shards), so a whole-market `check_nash` would report phantom improving
 /// moves into them. Rebuild a sub-market of just the region's cloudlets,
-/// re-index the owned placements into it, and certify that.
+/// re-index the owned placements into it, and certify that. A one-shard
+/// region is the whole market, so there this certifies the whole game.
 #[cfg(feature = "verify")]
 fn certify_region_nash(state: &GameState<'_>, book: &Book, ctx: &ShardCtx) -> Vec<String> {
     let market = state.market();
@@ -2120,13 +1951,21 @@ mod tests {
         b.uniform_update_cost(0.2).build()
     }
 
-    /// Drives `run_market` synchronously: every command is enqueued before
-    /// the thread starts, followed by a shutdown.
-    fn drive(market: Market, cmds: Vec<Command>) -> (Vec<Option<Response>>, MarketOutcome) {
+    /// Drives a solo writer synchronously: every command is enqueued
+    /// before the thread starts, followed by a shutdown whose reply comes
+    /// back with the outcome.
+    fn drive(market: Market, cmds: Vec<Command>) -> (Option<Response>, MarketOutcome) {
+        let ctx = ShardCtx::solo(market.provider_count(), market.cloudlet_count());
+        drive_with(market, cmds, &ctx)
+    }
+
+    fn drive_with(
+        market: Market,
+        cmds: Vec<Command>,
+        ctx: &ShardCtx,
+    ) -> (Option<Response>, MarketOutcome) {
         let n = market.provider_count();
         let (tx, rx) = chan::bounded(cmds.len() + 1);
-        let view = SharedView::new(MarketView::empty(n));
-        let mut receivers = Vec::new();
         for cmd in cmds {
             tx.send(cmd).map_err(|_| ()).unwrap();
         }
@@ -2137,18 +1976,19 @@ mod tests {
         .map_err(|_| ())
         .unwrap();
         drop(tx);
-        let profile = Profile::all_remote(n);
-        let outcome = run_market(
+        let view = SharedView::new(MarketView::empty(n));
+        let cfg = MarketConfig::default();
+        let outcome = run_shard(
             market,
-            profile,
+            Profile::all_remote(n),
             vec![false; n],
             0,
             &rx,
             &view,
-            &MarketConfig::default(),
+            &cfg,
+            ctx,
         );
-        receivers.push(sd_rx.recv());
-        (receivers, outcome)
+        (sd_rx.recv(), outcome)
     }
 
     fn join(provider: usize) -> (Command, chan::OneReceiver<Response>) {
@@ -2166,43 +2006,15 @@ mod tests {
     #[test]
     fn join_to_capacity_then_reject_then_leave_readmits() {
         // Each cloudlet fits exactly 2 of these providers (4.0 / 2.0).
-        let market = tiny_market(5);
-        let n = market.provider_count();
-        let (tx, rx) = chan::bounded(16);
-        let view = SharedView::new(MarketView::empty(n));
-
-        let mut replies = Vec::new();
-        for p in 0..5 {
-            let (cmd, r) = join(p);
-            tx.send(cmd).map_err(|_| ()).unwrap();
-            replies.push(r);
-        }
+        let (mut cmds, mut replies): (Vec<_>, Vec<_>) = (0..5).map(join).unzip();
         let (leave_tx, leave_rx) = chan::oneshot();
-        tx.send(Command::Leave {
+        cmds.push(Command::Leave {
             provider: 0,
             reply: leave_tx.into(),
-        })
-        .map_err(|_| ())
-        .unwrap();
+        });
         let (rejoin, rejoin_rx) = join(4);
-        tx.send(rejoin).map_err(|_| ()).unwrap();
-        let (sd_tx, sd_rx) = chan::oneshot();
-        tx.send(Command::Shutdown {
-            reply: sd_tx.into(),
-        })
-        .map_err(|_| ())
-        .unwrap();
-        drop(tx);
-
-        let outcome = run_market(
-            market,
-            Profile::all_remote(n),
-            vec![false; n],
-            0,
-            &rx,
-            &view,
-            &MarketConfig::default(),
-        );
+        cmds.push(rejoin);
+        let (draining, outcome) = drive(tiny_market(5), cmds);
 
         let admitted = replies
             .drain(..4)
@@ -2216,7 +2028,7 @@ mod tests {
         ));
         assert_eq!(leave_rx.recv(), Some(Response::Left));
         assert!(matches!(rejoin_rx.recv(), Some(Response::Admitted { .. })));
-        assert_eq!(sd_rx.recv(), Some(Response::Draining));
+        assert_eq!(draining, Some(Response::Draining));
         assert_eq!(outcome.active.iter().filter(|a| **a).count(), 4);
         assert!(outcome.equilibrium);
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
@@ -2243,62 +2055,22 @@ mod tests {
                     demand.note(p);
                 }
             }
-            let ctx = ShardCtx::new(
-                0,
-                1,
-                vec![true; 1],
-                Arc::new(Router::new(2, 1)),
-                Vec::new(),
-                Vec::new(),
-                Arc::new(Coordinator::new(1, vec![0; 1], 0)),
-                Arc::new(ShardGauges::new(1)),
-                None,
-            )
-            .with_demand(demand);
-
-            let (tx, rx) = chan::bounded(16);
-            let view = SharedView::new(MarketView::empty(2));
-            let mut receivers = Vec::new();
-            for p in 0..2 {
-                let (cmd, r) = join(p);
-                tx.send(cmd).map_err(|_| ()).unwrap();
-                receivers.push(r);
-            }
+            let ctx = ShardCtx::solo(2, 1).with_demand(demand);
+            let mut cmds: Vec<Command> = (0..2).map(|p| join(p).0).collect();
             // Grow past capacity (each eviction), then shrink to a size
             // where one — and only one — fits the cloudlet again.
             for &(compute, bandwidth) in &[(5.0, 8.0), (3.0, 8.0)] {
                 for p in 0..2 {
-                    let (otx, orx) = chan::oneshot();
-                    tx.send(Command::Update {
+                    cmds.push(Command::Update {
                         provider: p,
                         compute,
                         bandwidth,
-                        reply: otx.into(),
-                    })
-                    .map_err(|_| ())
-                    .unwrap();
-                    receivers.push(orx);
+                        reply: chan::oneshot().0.into(),
+                    });
                 }
             }
-            let (sd_tx, sd_rx) = chan::oneshot();
-            tx.send(Command::Shutdown {
-                reply: sd_tx.into(),
-            })
-            .map_err(|_| ())
-            .unwrap();
-            drop(tx);
-
-            let outcome = run_shard(
-                market,
-                Profile::all_remote(2),
-                vec![false; 2],
-                0,
-                &rx,
-                &view,
-                &MarketConfig::default(),
-                &ctx,
-            );
-            assert_eq!(sd_rx.recv(), Some(Response::Draining));
+            let (draining, outcome) = drive_with(market, cmds, &ctx);
+            assert_eq!(draining, Some(Response::Draining));
             assert!(outcome.equilibrium);
             assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
             (
@@ -2328,11 +2100,11 @@ mod tests {
         let (j0, r0) = join(0);
         let (j0_again, r0_again) = join(0);
         let (j_bad, r_bad) = join(99);
-        let (replies, _outcome) = drive(market, vec![j0, j0_again, j_bad]);
+        let (draining, _outcome) = drive(market, vec![j0, j0_again, j_bad]);
         assert!(matches!(r0.recv(), Some(Response::Admitted { .. })));
         assert!(matches!(r0_again.recv(), Some(Response::Error { .. })));
         assert!(matches!(r_bad.recv(), Some(Response::Error { .. })));
-        assert_eq!(replies[0], Some(Response::Draining));
+        assert_eq!(draining, Some(Response::Draining));
     }
 
     #[test]
@@ -2356,14 +2128,6 @@ mod tests {
         assert!(outcome.active[0]);
         assert_eq!(outcome.profile.placement(ProviderId(0)), Placement::Remote);
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
-    }
-
-    #[test]
-    fn snapshot_without_path_is_an_error() {
-        let market = tiny_market(1);
-        let (s_tx, s_rx) = chan::oneshot();
-        let (_, _) = drive(market, vec![Command::Snapshot { reply: s_tx.into() }]);
-        assert!(matches!(s_rx.recv(), Some(Response::Error { .. })));
     }
 
     #[test]

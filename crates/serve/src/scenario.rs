@@ -34,7 +34,6 @@ use crate::chan::{self, Sender};
 use crate::demand::DemandTracker;
 use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Reply, ShardCtx};
 use crate::proto::Response;
-use crate::shard::{Coordinator, Router, ShardGauges};
 use crate::view::{MarketView, SharedView};
 
 /// How long [`run_scenario`] waits for the writer to reach equilibrium
@@ -118,7 +117,6 @@ fn roundtrip(tx: &Sender<Command>, build: impl FnOnce(Reply) -> Command) -> Resp
 /// must not name more services than the market has providers.
 pub fn run_scenario(market: Market, trace: &Trace, cfg: &ScenarioConfig) -> ScenarioReport {
     let n = market.provider_count();
-    let m = market.cloudlet_count();
     assert!(
         trace.services <= n,
         "trace names {} services, market has {} providers",
@@ -128,18 +126,7 @@ pub fn run_scenario(market: Market, trace: &Trace, cfg: &ScenarioConfig) -> Scen
 
     let view = Arc::new(SharedView::new(MarketView::empty(n)));
     let demand = Arc::new(DemandTracker::new(n));
-    let ctx = ShardCtx::new(
-        0,
-        1,
-        vec![true; m],
-        Arc::new(Router::new(n, 1)),
-        Vec::new(),
-        Vec::new(),
-        Arc::new(Coordinator::new(1, vec![0; m], 0)),
-        Arc::new(ShardGauges::new(1)),
-        None,
-    )
-    .with_demand(demand.clone());
+    let ctx = ShardCtx::solo(n, market.cloudlet_count()).with_demand(demand.clone());
     // Queue sized for one epoch's worth of churn plus the shutdown.
     let (tx, rx) = chan::bounded::<Command>(n + 8);
     let market_cfg = MarketConfig {

@@ -19,13 +19,14 @@
 //! through a completion mailbox and leave in request order. No thread is
 //! ever parked on one client.
 //!
-//! With `shards == 1` the daemon is exactly the legacy single-writer
-//! system: one market thread, one view, plain snapshot files, teardown
-//! by channel disconnection. With `shards > 1` each region gets its own
-//! writer thread; admin requests fan out as coordinated two-phase ops
-//! (see [`crate::shard`]), snapshots become per-shard slice sets behind a
-//! manifest, and teardown is signalled by the `io_live` counter (peers
-//! hold each other's senders, so disconnection can never fire).
+//! Each region gets its own writer thread, and one shard is the plain
+//! case of N, not a separate mode. Admin requests fan out as coordinated
+//! two-phase ops (see [`crate::shard`]), every snapshot is a per-shard
+//! slice set behind a manifest (boot and a one-shard `restore` still read
+//! a plain whole-market file), and teardown is signalled by the `io_live`
+//! counter (peers hold each other's senders, so disconnection can never
+//! fire). `Plumbing` builds that per-shard wiring for both the daemon
+//! and [`crate::drain_bench`].
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -36,7 +37,7 @@ use std::thread::JoinHandle;
 use mec_core::model::Market;
 use mec_core::{load_snapshot, MarketSnapshot, Placement, Profile, ProviderId};
 
-use crate::chan;
+use crate::chan::{self, Receiver, Sender};
 use crate::demand::DemandTracker;
 use crate::eventloop::{run_io, Completions, IoShared};
 use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, ShardCtx};
@@ -54,9 +55,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Snapshot file. If it exists at boot, the daemon restores market,
     /// placements and admission state from it (crash recovery) instead of
-    /// using the market passed to [`serve`]. A sharded daemon writes a
-    /// manifest here pointing at per-shard slice files; boot understands
-    /// both formats regardless of the configured shard count.
+    /// using the market passed to [`serve`]. The daemon writes a manifest
+    /// here pointing at per-shard slice files `<path>.e<E>.s<k>`; boot
+    /// also reads a plain whole-market snapshot file, at any shard count.
     pub snapshot_path: Option<PathBuf>,
     /// Improving moves per equilibrium-maintenance quantum.
     pub epoch_moves: usize,
@@ -71,8 +72,7 @@ pub struct ServerConfig {
     /// Maximum simultaneous client connections.
     pub max_connections: usize,
     /// Market shards (writer threads), each owning one topology region.
-    /// 1 (the default) keeps the legacy single-writer daemon; clamped to
-    /// the cloudlet count.
+    /// Defaults to 1; clamped to the cloudlet count.
     pub shards: usize,
     /// Cloudlet→shard region map (`regions[c]` is the owning shard of
     /// cloudlet `c`). `None` derives a contiguous index split; callers
@@ -149,13 +149,7 @@ impl ServerHandle {
     ///
     /// Panics if a shard, the acceptor, or an I/O thread itself panicked.
     pub fn join(self) -> MarketOutcome {
-        let mut outcomes = Vec::with_capacity(self.shards.len());
-        for h in self.shards {
-            match h.join() {
-                Ok(o) => outcomes.push(o),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
+        let outcome = join_writers(self.shards);
         if let Err(e) = self.acceptor.join() {
             std::panic::resume_unwind(e);
         }
@@ -169,16 +163,27 @@ impl ServerHandle {
                 std::panic::resume_unwind(e);
             }
         }
-        merge_outcomes(outcomes)
+        outcome
     }
 }
 
-/// Folds per-shard outcomes into the daemon-wide one. Counters sum,
-/// equilibrium ANDs, violations concatenate; a provider's placement and
-/// admission flag come from whichever shard holds it active (unique
-/// after a drain — migrations are quiesced before shards finish).
-fn merge_outcomes(mut outcomes: Vec<MarketOutcome>) -> MarketOutcome {
-    let mut merged = outcomes.remove(0);
+/// Joins every writer thread and folds the per-shard outcomes into the
+/// daemon-wide one. Counters sum, equilibrium ANDs, violations
+/// concatenate; a provider's placement and admission flag come from
+/// whichever shard holds it active (unique after a drain — migrations are
+/// quiesced before shards finish).
+///
+/// # Panics
+///
+/// Re-raises a writer thread's panic.
+pub(crate) fn join_writers(writers: Vec<JoinHandle<MarketOutcome>>) -> MarketOutcome {
+    let mut outcomes = writers.into_iter().map(|h| match h.join() {
+        Ok(o) => o,
+        Err(e) => std::panic::resume_unwind(e),
+    });
+    // At least one shard always runs (shard counts clamp to >= 1).
+    // lint: allow(panics)
+    let mut merged = outcomes.next().expect("at least one writer");
     for o in outcomes {
         merged.seq += o.seq;
         merged.epochs += o.epochs;
@@ -212,7 +217,7 @@ struct BootState {
 
 /// Restores boot state from `path` if a snapshot exists there: either a
 /// sharded manifest (merge every slice of the newest consistent set) or
-/// a legacy whole-market file. No snapshot means a fresh all-remote boot
+/// a plain whole-market file. No snapshot means a fresh all-remote boot
 /// from the caller's market.
 fn boot_state(market: Market, path: Option<&Path>) -> std::io::Result<BootState> {
     let fresh = |market: Market| {
@@ -231,7 +236,7 @@ fn boot_state(market: Market, path: Option<&Path>) -> std::io::Result<BootState>
     };
     let text = std::fs::read_to_string(path)?;
     let Some(manifest) = parse_manifest(&text) else {
-        // Legacy whole-market snapshot: the file *is* the market state.
+        // Plain whole-market snapshot: the file *is* the market state.
         let snap = load_snapshot(path).map_err(|e| restore_err(path, &e))?;
         let n = snap.market.provider_count();
         return Ok(BootState {
@@ -348,6 +353,125 @@ pub(crate) fn region_map(
     Ok(r.clone())
 }
 
+/// The per-shard wiring of one market: a view, queue and writer per
+/// region, plus the router, gauges and coordinator they share. [`serve`]
+/// and [`crate::drain_bench`] both build it, fill the queues or hand the
+/// senders to their producers, then [`Plumbing::spawn`] the writers.
+pub(crate) struct Plumbing {
+    /// Cloudlet→shard region map.
+    pub(crate) region_of: Vec<usize>,
+    /// Published view of every shard.
+    pub(crate) views: Vec<Arc<SharedView>>,
+    /// Provider→shard ownership; providers start on their home shard.
+    pub(crate) router: Arc<Router>,
+    /// Per-shard depth/write gauges.
+    pub(crate) gauges: Arc<ShardGauges>,
+    /// Shared epochs and drain/quiesce barriers.
+    pub(crate) coord: Arc<Coordinator>,
+    /// Command sender of every shard; each writer holds all of them.
+    pub(crate) txs: Vec<Sender<Command>>,
+    /// Live producers; the writers self-drain once it reaches zero.
+    pub(crate) io_live: Arc<AtomicUsize>,
+    rxs: Vec<Receiver<Command>>,
+}
+
+impl Plumbing {
+    /// Wiring for `providers` providers over the region map `region_of`
+    /// (one shard per region), with `queue_cap`-bounded queues, the
+    /// snapshot coordinator at `epoch0`, and `io_live` live producers.
+    pub(crate) fn new(
+        providers: usize,
+        region_of: Vec<usize>,
+        epoch0: u64,
+        queue_cap: usize,
+        io_live: usize,
+    ) -> Plumbing {
+        let shards = region_of.iter().max().map_or(1, |&r| r + 1);
+        let (txs, rxs) = (0..shards)
+            .map(|_| chan::bounded::<Command>(queue_cap))
+            .unzip();
+        Plumbing {
+            views: (0..shards)
+                .map(|_| Arc::new(SharedView::new(MarketView::empty(providers))))
+                .collect(),
+            router: Arc::new(Router::new(providers, shards)),
+            gauges: Arc::new(ShardGauges::new(shards)),
+            coord: Arc::new(Coordinator::new(shards, region_of.clone(), epoch0)),
+            txs,
+            io_live: Arc::new(AtomicUsize::new(io_live)),
+            rxs,
+            region_of,
+        }
+    }
+
+    /// Spawns one writer per shard over its slice of the boot state: the
+    /// providers the router gives a shard carry their placement and
+    /// admission flag, all others are Remote/inactive there (their
+    /// owner's slice carries them). `on_exit` runs on each writer thread
+    /// once its shard has drained. Call once: the queues' receivers move
+    /// into the writers.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn spawn(
+        &mut self,
+        market: &Market,
+        profile: &Profile,
+        active: &[bool],
+        seq: u64,
+        cfg: &MarketConfig,
+        demand: &Arc<DemandTracker>,
+        on_exit: impl Fn() + Clone + Send + 'static,
+    ) -> Vec<JoinHandle<MarketOutcome>> {
+        let n = market.provider_count();
+        let shards = self.txs.len();
+        let rxs = std::mem::take(&mut self.rxs);
+        let mut writers = Vec::with_capacity(rxs.len());
+        for (k, rx) in rxs.into_iter().enumerate() {
+            let ctx = ShardCtx::new(
+                k,
+                shards,
+                self.region_of.iter().map(|&r| r == k).collect(),
+                self.router.clone(),
+                self.txs.clone(),
+                self.views.clone(),
+                self.coord.clone(),
+                self.gauges.clone(),
+                Some(self.io_live.clone()),
+            )
+            .with_demand(demand.clone());
+            let mut shard_profile = Profile::all_remote(n);
+            let mut shard_active = vec![false; n];
+            for p in 0..n {
+                if self.router.owner(p) == k {
+                    shard_active[p] = active[p];
+                    shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
+                }
+            }
+            let shard_market = market.clone();
+            let view = self.views[k].clone();
+            let cfg = cfg.clone();
+            let on_exit = on_exit.clone();
+            // The shard's writer thread: owns its region for its whole
+            // life. Intentionally a raw thread, not the bench pool — it is
+            // joined through its handle. lint: allow(thread-spawn)
+            writers.push(std::thread::spawn(move || {
+                let outcome = run_shard(
+                    shard_market,
+                    shard_profile,
+                    shard_active,
+                    seq,
+                    &rx,
+                    &view,
+                    &cfg,
+                    &ctx,
+                );
+                on_exit();
+                outcome
+            }));
+        }
+        writers
+    }
+}
+
 /// Boots the daemon: restores the snapshot if one exists, binds the
 /// listener, and starts the shard, acceptor, and I/O threads.
 ///
@@ -372,22 +496,18 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
 
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let views: Vec<Arc<SharedView>> = (0..shards)
-        .map(|_| Arc::new(SharedView::new(MarketView::empty(n))))
-        .collect();
-    let router = Arc::new(Router::new(n, shards));
+    let io_count = cfg.io_thread_count();
+    let mut plumbing = Plumbing::new(n, region_of, epoch0, cfg.queue_cap, io_count);
     for (p, &claimed) in claim.iter().enumerate() {
         // Restored/derived ownership: a cached provider belongs to its
         // cloudlet's region (capacity is accounted there); a remote one
         // keeps its snapshot claim when still valid, else its home shard.
         let owner = match profile.placement(ProviderId(p)) {
-            Placement::Cloudlet(c) => region_of[c.index()],
+            Placement::Cloudlet(c) => plumbing.region_of[c.index()],
             Placement::Remote => claimed.filter(|&k| k < shards).unwrap_or(p % shards),
         };
-        router.set_owner(p, owner);
+        plumbing.router.set_owner(p, owner);
     }
-    let gauges = Arc::new(ShardGauges::new(shards));
-    let coord = Arc::new(Coordinator::new(shards, region_of.clone(), epoch0));
     let stop = Arc::new(AtomicBool::new(false));
     // Bind the admin listener before any thread starts so a bad admin
     // address fails the boot instead of leaking a half-started daemon.
@@ -396,19 +516,9 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         None => None,
     };
     let live = Arc::new(AtomicUsize::new(0));
-    let io_count = cfg.io_thread_count();
-    let io_live = Arc::new(AtomicUsize::new(io_count));
     // One demand tracker daemon-wide: every I/O thread notes queries into
     // it, each writer folds (only) its owned providers' counts.
     let demand = Arc::new(DemandTracker::new(n));
-
-    let mut txs = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = chan::bounded::<Command>(cfg.queue_cap);
-        txs.push(tx);
-        rxs.push(rx);
-    }
 
     // One IoShared per event-loop thread: its own completion mailbox and
     // accepted-connection inbox, everything else shared daemon-wide.
@@ -419,11 +529,11 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
             inbox: Mutex::new(Vec::new()),
             stop: stop.clone(),
             live: live.clone(),
-            txs: txs.clone(),
-            views: views.clone(),
-            router: router.clone(),
-            gauges: gauges.clone(),
-            coord: coord.clone(),
+            txs: plumbing.txs.clone(),
+            views: plumbing.views.clone(),
+            router: plumbing.router.clone(),
+            gauges: plumbing.gauges.clone(),
+            coord: plumbing.coord.clone(),
             demand: demand.clone(),
             addr,
         }));
@@ -435,88 +545,38 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
         snapshot_path: cfg.snapshot_path.clone(),
     };
     let wakers: Vec<Arc<Completions>> = io_shared.iter().map(|s| s.completions.clone()).collect();
-
-    let mut shard_threads = Vec::with_capacity(shards);
-    for (k, rx) in rxs.into_iter().enumerate() {
-        let mine: Vec<bool> = region_of.iter().map(|&r| r == k).collect();
-        // At one shard the context carries no peer senders and no
-        // io_live counter: the writer keeps the legacy teardown contract
-        // (its receiver disconnects once every I/O thread exits).
-        let ctx = ShardCtx::new(
-            k,
-            shards,
-            mine,
-            router.clone(),
-            if shards > 1 { txs.clone() } else { Vec::new() },
-            if shards > 1 {
-                views.clone()
-            } else {
-                Vec::new()
-            },
-            coord.clone(),
-            gauges.clone(),
-            (shards > 1).then(|| io_live.clone()),
-        )
-        .with_demand(demand.clone());
-        // This shard's slice of the boot state: owned providers carry
-        // their restored placement and admission flag, everyone else is
-        // Remote/inactive (their owner's slice carries them).
-        let shard_market = market.clone();
-        let mut shard_profile = Profile::all_remote(n);
-        let mut shard_active = vec![false; n];
-        for p in 0..n {
-            if router.owner(p) == k {
-                shard_active[p] = active[p];
-                shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
-            }
+    let stop_w = stop.clone();
+    // A drained shard stops the acceptor, pokes it out of `accept()` with
+    // a throwaway connection, and wakes every I/O thread so it observes
+    // the flag and flushes out. Idempotent across shards.
+    let on_exit = move || {
+        stop_w.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        for c in &wakers {
+            c.wake();
         }
-        let view = views[k].clone();
-        let cfg_k = market_cfg.clone();
-        let stop_k = stop.clone();
-        let wakers_k = wakers.clone();
-        // The shard's writer thread: owns its region for its whole life.
-        // Intentionally a raw thread, not the bench pool — it outlives any
-        // scope and is joined through the ServerHandle. lint: allow(thread-spawn)
-        shard_threads.push(std::thread::spawn(move || {
-            let outcome = run_shard(
-                shard_market,
-                shard_profile,
-                shard_active,
-                seq,
-                &rx,
-                &view,
-                &cfg_k,
-                &ctx,
-            );
-            // This shard is done (drain or disconnect): stop the
-            // acceptor, poke it out of `accept()` with a throwaway
-            // connection, and wake every I/O thread so it observes the
-            // flag and flushes out. Idempotent across shards.
-            stop_k.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            for c in &wakers_k {
-                c.wake();
-            }
-            outcome
-        }));
-    }
-    // The boot copies of the senders are dropped here: at one shard the
-    // writer's receiver disconnects once the I/O threads exit (legacy
-    // teardown); at several the peers hold each other's senders and the
-    // io_live counter signals teardown instead.
-    drop(txs);
+    };
+    let shard_threads = plumbing.spawn(
+        &market,
+        &profile,
+        &active,
+        seq,
+        &market_cfg,
+        &demand,
+        on_exit,
+    );
 
     let mut io = Vec::with_capacity(io_count);
     for shared in &io_shared {
         let shared = shared.clone();
-        let io_live_k = io_live.clone();
+        let io_live_k = plumbing.io_live.clone();
         // One poll loop per I/O thread, joined through the ServerHandle.
         // lint: allow(thread-spawn)
         io.push(std::thread::spawn(move || {
             run_io(&shared);
             // Signal the shard threads: one fewer I/O-side sender. At
             // zero the shards self-drain even though their peers still
-            // hold senders (disconnection can never fire at > 1 shard).
+            // hold senders (disconnection can never fire).
             io_live_k.fetch_sub(1, Ordering::AcqRel);
         }));
     }
@@ -526,10 +586,10 @@ pub fn serve(market: Market, cfg: &ServerConfig) -> std::io::Result<ServerHandle
     if let Some((admin_l, bound)) = admin_listener {
         admin_addr = Some(bound);
         let shared = Arc::new(crate::admin::AdminShared {
-            views: views.clone(),
-            router: router.clone(),
-            gauges: gauges.clone(),
-            coord: coord.clone(),
+            views: plumbing.views.clone(),
+            router: plumbing.router.clone(),
+            gauges: plumbing.gauges.clone(),
+            coord: plumbing.coord.clone(),
             stop: stop.clone(),
             cloudlets: m,
             providers: n,

@@ -25,7 +25,7 @@
 //!
 //! # Coordinated snapshots
 //!
-//! A multi-shard snapshot is two-phase: a *prepare* fan-out pauses new
+//! A snapshot (at any shard count, one included) is two-phase: a *prepare* fan-out pauses new
 //! migrations and waits for every in-flight handoff to resolve (each
 //! shard defers its prepare-ack until its outgoing migration has sent
 //! `commit` or `abort`), then an *apply* fan-out has every shard write
@@ -422,7 +422,7 @@ pub fn encode_manifest(m: &Manifest) -> String {
 }
 
 /// Parses manifest text; `None` if it is not a manifest (e.g. a plain
-/// whole-market snapshot lives at the same path in 1-shard deployments).
+/// whole-market snapshot from before snapshot sets lives at the path).
 pub fn parse_manifest(text: &str) -> Option<Manifest> {
     let first = text.lines().next()?;
     let fields = json::parse_object(first).ok()?;

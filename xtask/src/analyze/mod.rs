@@ -7,7 +7,7 @@
 //! [`Finding`]s, and the engine filters out findings suppressed by the
 //! `// lint: allow(<rule>)` marker contract (inline on the offending
 //! line, or anywhere in the contiguous `//` comment block directly
-//! above it — the same contract `cargo xtask lint` has always had).
+//! above it).
 //!
 //! Rules (see [`rules`] for each one's full story):
 //!
@@ -336,6 +336,43 @@ mod tests {
         assert!(f.allowed(4, "demo"), "comment block above suppresses");
         assert!(!f.allowed(5, "demo"), "non-comment line breaks the block");
         assert!(!f.allowed(4, "other"), "marker is per-rule");
+    }
+
+    #[test]
+    fn vendor_num_and_build_output_are_not_lintable() {
+        use rules::lintable;
+        assert!(!lintable("vendor/rand/src/lib.rs"));
+        assert!(!lintable("crates/num/src/lib.rs"));
+        assert!(!lintable("target/debug/build.rs"));
+        assert!(lintable("crates/core/src/game.rs"));
+        assert!(lintable("src/bin/mec.rs"));
+    }
+
+    #[test]
+    fn findings_render_with_location() {
+        let ws =
+            Workspace::from_fixtures(&[("crates/core/src/x.rs", "fn f() { panic!(\"x\") }\n")]);
+        let f = run_all(&ws);
+        assert_eq!(f.len(), 1, "{f:?}");
+        let s = f[0].to_string();
+        assert!(s.contains("crates/core/src/x.rs:1"), "{s}");
+        assert!(s.contains("[panics]"), "{s}");
+    }
+
+    #[test]
+    fn clean_snippets_trip_no_rule() {
+        // Identifier compares, and rule-looking text in strings and
+        // comments, must stay quiet under every rule, not just the one a
+        // fixture names.
+        for src in [
+            "fn f(a: f64, b: f64, out: Vec<u32>) {\n    let _ = a == b;\n    assert_eq!(a, b);\n    assert_eq!(out.len(), 3);\n}\n",
+            "fn f() {\n    let s = \"a == 1.0 and panic!(\";\n    // x.unwrap() == 2.0\n    let _ = s;\n}\n",
+            "fn f() {\n    /* x.unwrap() == 2.0\n       panic!(\"no\") */\n}\n",
+        ] {
+            let ws = Workspace::from_fixtures(&[("crates/core/src/x.rs", src)]);
+            let f = run_all(&ws);
+            assert!(f.is_empty(), "{src:?}: {f:?}");
+        }
     }
 
     #[test]

@@ -406,6 +406,51 @@ pub fn b(x: Option<u32>) -> u32 {
         )],
         expect: 0,
     },
+    Fixture {
+        rule: "panics",
+        title: "unwrap in crates/core non-test code fires",
+        files: &[(
+            "crates/core/src/seeded.rs",
+            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "panics",
+        title: "panic! in crates/core non-test code fires",
+        files: &[(
+            "crates/core/src/seeded.rs",
+            "pub fn f() {\n    panic!(\"boom\");\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "panics",
+        title: "an inline marker suppresses unwrap in crates/core",
+        files: &[(
+            "crates/core/src/seeded.rs",
+            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // lint: allow(panics)\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "panics",
+        title: "unwrap inside a #[cfg(test)] module is exempt",
+        files: &[(
+            "crates/core/src/seeded.rs",
+            "#[cfg(test)]\nmod tests {\n    fn f(x: Option<u32>) -> u32 { x.unwrap() }\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "panics",
+        title: "panic-looking text in strings, line and block comments is not code",
+        files: &[(
+            "crates/core/src/x.rs",
+            "fn f() {\n    let s = \"a == 1.0 and panic!(\";\n    // x.unwrap() == 2.0\n    /* x.unwrap() == 2.0\n       panic!(\"no\") */\n    let _ = s;\n}\n",
+        )],
+        expect: 0,
+    },
     // ------------------------------------------------------------ float-cmp
     Fixture {
         rule: "float-cmp",
@@ -444,6 +489,96 @@ pub fn b(x: Option<u32>) -> u32 {
         ],
         expect: 0,
     },
+    Fixture {
+        rule: "float-cmp",
+        title: "assert_eq! against a float literal fires outside tests",
+        files: &[(
+            "crates/lp/src/seeded.rs",
+            "fn f(x: f64) {\n    assert_eq!(x, 1.5);\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "a float literal on the left of == fires",
+        files: &[(
+            "crates/sim/src/x.rs",
+            "fn f(x: f64, cost: f64) {\n    let _ = 0.0 == x;\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "!= against an exponent literal fires",
+        files: &[(
+            "crates/sim/src/x.rs",
+            "fn f(x: f64, cost: f64) {\n    let _ = x != 1e-9;\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "assert_eq! against a literal sum fires once",
+        files: &[(
+            "crates/sim/src/x.rs",
+            "fn f(x: f64, cost: f64) {\n    assert_eq!(cost, 2.5 + 0.5);\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "assert_ne! against a negative literal fires",
+        files: &[(
+            "crates/sim/src/x.rs",
+            "fn f(x: f64, cost: f64) {\n    assert_ne!(cost, -1.0);\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "the revised-simplex module is not exempt: a raw != 0.0 fires",
+        files: &[(
+            "crates/lp/src/revised.rs",
+            "fn skip_zero(v: f64) -> bool {\n    v != 0.0\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "a marker in the comment block above suppresses",
+        files: &[(
+            "crates/lp/src/seeded.rs",
+            "fn f(x: f64) -> bool {\n    // exact-zero guard is intended here\n    // lint: allow(float-cmp)\n    x != 0.0\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "the marked revised.rs zero-skip is quiet",
+        files: &[(
+            "crates/lp/src/revised.rs",
+            "fn skip_zero(v: f64) -> bool {\n    // Exact zero-skip while gathering the CSC columns.\n    // lint: allow(float-cmp)\n    v != 0.0\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "ordering operators, ranges, match arms and identifier compares are quiet",
+        files: &[(
+            "crates/core/src/x.rs",
+            "fn f(x: f64, n: u32, a: f64, b: f64, out: Vec<u32>) {\n    if x <= 1.0 { g(); }\n    if x >= 0.5 { g(); }\n    let y = x * 2.0;\n    let z = match n { 1 => 2.0, _ => 3.0 };\n    for i in 0..2 { g(); }\n    let _ = a == b;\n    assert_eq!(a, b);\n    assert_eq!(out.len(), 3);\n}\n",
+        )],
+        expect: 0,
+    },
+    Fixture {
+        rule: "float-cmp",
+        title: "float compares in strings, line and block comments are not code",
+        files: &[(
+            "crates/core/src/x.rs",
+            "fn f() {\n    let s = \"a == 1.0\";\n    // x == 2.0\n    /* x != 2.0 */\n    let _ = s;\n}\n",
+        )],
+        expect: 0,
+    },
     // --------------------------------------------------------- thread-spawn
     Fixture {
         rule: "thread-spawn",
@@ -467,6 +602,33 @@ pub fn b(x: Option<u32>) -> u32 {
                 "fn f() {\n    // Daemon thread, joined via the handle.\n    // lint: allow(thread-spawn)\n    std::thread::spawn(|| {});\n}\n",
             ),
         ],
+        expect: 0,
+    },
+    Fixture {
+        rule: "thread-spawn",
+        title: "spawn in the LP layer fires",
+        files: &[(
+            "crates/lp/src/revised.rs",
+            "fn f() {\n    std::thread::spawn(|| {});\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "thread-spawn",
+        title: "a marker inside the spawned closure does not suppress",
+        files: &[(
+            "crates/serve/src/server.rs",
+            "fn f() {\n    std::thread::spawn(|| {\n        // lint: allow(thread-spawn)\n    });\n}\n",
+        )],
+        expect: 1,
+    },
+    Fixture {
+        rule: "thread-spawn",
+        title: "an inline marker on the spawn line suppresses",
+        files: &[(
+            "crates/serve/src/chan.rs",
+            "fn f() {\n    let t = std::thread::spawn(move || 1); // lint: allow(thread-spawn)\n}\n",
+        )],
         expect: 0,
     },
 ];
