@@ -10,8 +10,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mec_core::game::{best_response, BestResponseDynamics, MoveOrder};
-use mec_core::state::GameState;
-use mec_core::{Profile, ProviderId};
+use mec_core::state::{GameState, Scope};
+use mec_core::{Placement, Profile, ProviderId};
+use mec_serve::drain::churn_stream;
+use mec_topology::CloudletId;
 use mec_workload::{gtitm_scenario, Params, Scenario};
 
 fn scenario(providers: usize) -> Scenario {
@@ -78,6 +80,46 @@ fn bench_single_best_response(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_admission_scan(c: &mut Criterion) {
+    // The drain bench's market (800 providers, GT-ITM size 4000: 400
+    // cloudlets) at a mid-stream profile: the first half of its churn
+    // stream replayed through one-shard admission, leaves to remote.
+    let market = gtitm_scenario(4000, &Params::paper().with_providers(800), 1)
+        .generated
+        .market;
+    let every: Vec<CloudletId> = market.cloudlets().collect();
+    let held = vec![(0.0, 0.0); market.cloudlet_count()];
+    let scope = Scope::Within {
+        cloudlets: &every,
+        held: &held,
+    };
+    let mut state = GameState::all_remote(&market);
+    let mut joined = vec![false; market.provider_count()];
+    for (p, join) in churn_stream(market.provider_count(), 200_000, 1) {
+        let l = ProviderId(p);
+        joined[p] = join;
+        let to = match state.cheapest_fit(l, scope) {
+            Some((i, _)) if join => Placement::Cloudlet(i),
+            _ => Placement::Remote,
+        };
+        state.apply_move(l, to);
+    }
+    let waiting = ProviderId(joined.iter().position(|j| !j).expect("a provider is out"));
+    let cached = market
+        .providers()
+        .find(|&l| matches!(state.placement(l), Placement::Cloudlet(_)))
+        .expect("a provider is cached");
+
+    let mut g = c.benchmark_group("admission_scan");
+    g.bench_function("generic_join", |b| {
+        b.iter(|| black_box(&state).cheapest_fit(waiting, scope))
+    });
+    g.bench_function("best_response", |b| {
+        b.iter(|| black_box(&state).best_response(cached))
+    });
+    g.finish();
+}
+
 fn bench_max_gain(c: &mut Criterion) {
     let s = scenario(150);
     let market = &s.generated.market;
@@ -111,6 +153,7 @@ criterion_group!(
     benches,
     bench_sweep_recompute_vs_incremental,
     bench_single_best_response,
+    bench_admission_scan,
     bench_max_gain
 );
 criterion_main!(benches);

@@ -40,7 +40,7 @@ use mec_gap::{shmoys_tardos, GapInstance, LpBackend, FORBIDDEN};
 use mec_topology::CloudletId;
 
 use crate::error::CoreError;
-use crate::model::{Market, ProviderId};
+use crate::model::{Market, ProviderId, CAP_SLACK};
 use crate::strategy::{Placement, Profile};
 
 /// How cloudlets are split into GAP bins (only meaningful with
@@ -466,7 +466,7 @@ fn repair(market: &Market, profile: &mut Profile) -> Result<(), CoreError> {
         let residual = profile.residual(market);
         let Some(overloaded) = market
             .cloudlets()
-            .find(|i| residual[i.index()].0 < -1e-9 || residual[i.index()].1 < -1e-9)
+            .find(|i| residual[i.index()].0 < -CAP_SLACK || residual[i.index()].1 < -CAP_SLACK)
         else {
             return Ok(());
         };

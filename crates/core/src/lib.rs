@@ -10,8 +10,9 @@
 //! * [`game`] — the affine congestion game, Rosenthal potential, and
 //!   best-response dynamics (Lemma 3);
 //! * [`state`] — incremental game state: `O(1)` move application with
-//!   maintained congestion, loads, and residuals (what the dynamics and
-//!   every other hot path run on);
+//!   maintained congestion, loads, and residuals, and the one placement
+//!   scan behind every best response and admission (what the dynamics,
+//!   the serving daemon and every other hot path run on);
 //! * [`appro`](mod@appro) — Algorithm 1, the GAP-based approximation for non-selfish
 //!   players with its `2δκ` ratio (Lemma 2);
 //! * [`lcf`](mod@lcf) — Algorithm 2, the Largest-Cost-First Stackelberg strategy;
@@ -81,13 +82,13 @@ pub use game::{
 pub use incentives::{incentive_report, IncentiveReport};
 pub use lcf::{lcf, LcfConfig, LcfOutcome, SelectionRule};
 pub use local_search::{social_local_search, LocalSearchResult};
-pub use model::{CloudletSpec, Market, MarketBuilder, ProviderId, ProviderSpec};
+pub use model::{CloudletSpec, Market, MarketBuilder, ProviderId, ProviderSpec, CAP_SLACK};
 pub use poa::{best_poa_bound, estimate_poa, market_poa_bound, poa_bound, PoaEstimate};
 pub use snapshot::{
     encode_snapshot, encode_snapshot_sharded, load_snapshot, parse_snapshot, save_snapshot,
     save_snapshot_sharded, MarketSnapshot, ShardMeta, SnapshotError,
 };
-pub use state::GameState;
+pub use state::{GameState, Scope};
 pub use strategy::{Placement, Profile};
 pub use verify::{
     check_capacity, check_congestion, check_cost_reconstruction, check_nash, check_state,

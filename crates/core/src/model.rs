@@ -21,6 +21,12 @@
 use mec_num::approx_zero;
 use mec_topology::CloudletId;
 
+/// Slack every Eq. 4–5 capacity check allows: a demand fits a free
+/// amount when `demand <= free + CAP_SLACK`, and a load is within a
+/// capacity when `load <= capacity + CAP_SLACK`. Absorbs the ULP drift of
+/// incrementally maintained loads.
+pub const CAP_SLACK: f64 = 1e-9;
+
 /// Identifier of a network service provider (dense index into the market).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
@@ -197,6 +203,19 @@ impl Market {
         self.update_cost[l.index() * self.cloudlets.len() + i.index()]
     }
 
+    /// Provider `l`'s update costs to every cloudlet, indexed by cloudlet.
+    #[inline]
+    pub(crate) fn update_costs(&self, l: ProviderId) -> &[f64] {
+        let m = self.cloudlets.len();
+        &self.update_cost[l.index() * m..(l.index() + 1) * m]
+    }
+
+    /// Every cloudlet's spec, indexed by cloudlet.
+    #[inline]
+    pub(crate) fn cloudlet_specs(&self) -> &[CloudletSpec] {
+        &self.cloudlets
+    }
+
     /// Congestion-free ("flat") cost of caching `l` at `i`:
     /// `α_i + β_i + c_l_ins + c_{l,i}_bdw` — the GAP cost of Eq. (9).
     pub fn flat_cost(&self, l: ProviderId, i: CloudletId) -> f64 {
@@ -207,10 +226,12 @@ impl Market {
     /// Cost of caching `l` at `i` when `congestion` providers (including `l`
     /// itself) are cached there — Eq. (3).
     pub fn caching_cost(&self, l: ProviderId, i: CloudletId, congestion: usize) -> f64 {
-        let cl = self.cloudlet(i);
-        cl.congestion_price() * congestion as f64
-            + self.provider(l).instantiation_cost
-            + self.update_cost(l, i)
+        eq3(
+            self.cloudlet(i),
+            congestion,
+            self.provider(l).instantiation_cost,
+            self.update_cost(l, i),
+        )
     }
 
     /// Maximum computing demand `a_max` over providers.
@@ -233,7 +254,7 @@ impl Market {
     /// `(compute_left, bandwidth_left)`.
     pub fn fits(&self, l: ProviderId, free: (f64, f64)) -> bool {
         let p = self.provider(l);
-        p.compute_demand <= free.0 + 1e-9 && p.bandwidth_demand <= free.1 + 1e-9
+        p.compute_demand <= free.0 + CAP_SLACK && p.bandwidth_demand <= free.1 + CAP_SLACK
     }
 
     /// The paper's `δ = max_i C(CL_i)/a_max` (Lemma 2).
@@ -302,6 +323,14 @@ impl Market {
             .map(|c| c.bandwidth_capacity / b_max)
             .fold(0.0, f64::max)
     }
+}
+
+/// Eq. (3) from its parts: the one expression every caching cost is
+/// computed with, so costs priced in bulk by the placement scan are
+/// bit-identical to [`Market::caching_cost`].
+#[inline(always)]
+pub(crate) fn eq3(cl: &CloudletSpec, congestion: usize, instantiation: f64, update: f64) -> f64 {
+    cl.congestion_price() * congestion as f64 + instantiation + update
 }
 
 /// Builder for [`Market`].

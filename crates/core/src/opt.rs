@@ -8,7 +8,7 @@
 use mec_topology::CloudletId;
 
 use crate::error::CoreError;
-use crate::model::Market;
+use crate::model::{Market, CAP_SLACK};
 use crate::strategy::{Placement, Profile};
 
 /// Maximum provider count accepted by [`social_optimum`].
@@ -91,7 +91,9 @@ pub fn social_optimum(market: &Market) -> Result<Optimum, CoreError> {
             // Cloudlet placements.
             for i in self.market.cloudlets() {
                 let free = self.free[i.index()];
-                if spec.compute_demand <= free.0 + 1e-9 && spec.bandwidth_demand <= free.1 + 1e-9 {
+                if spec.compute_demand <= free.0 + CAP_SLACK
+                    && spec.bandwidth_demand <= free.1 + CAP_SLACK
+                {
                     let c = i.index();
                     self.counts[c] += 1;
                     self.free[c].0 -= spec.compute_demand;

@@ -20,7 +20,17 @@
 //! | provider cost        | `O(N)`                | `O(1)`      |
 //! | apply one move       | —                     | `O(1)`      |
 //! | best response        | `O(N+M)` + 2 allocs   | `O(M)`, allocation-free |
+//! | best response / admission in a [`Scope`] of `K` cloudlets | — | `O(K)`, allocation-free |
 //! | full sweep           | `O(N·(N+M))`          | `O(N·M)`    |
+//!
+//! Best response and admission share one placement scan: it walks the
+//! provider's update-cost row over the candidate cloudlets, prices each
+//! candidate once with the expression of [`Market::caching_cost`] (so every
+//! cost is bit-identical to it), and marks a candidate that fails
+//! Eq. 4–5 by making its cost +∞ rather than by branching. Only the
+//! decision rule differs: admission takes a strict argmin (lowest index on
+//! a tie), best response the [`IMPROVEMENT_TOL`] rule of
+//! [`crate::game::best_response`].
 //!
 //! The maintained invariant — checked by a `debug_assert!` after every
 //! move and by randomized differential tests — is exact agreement with
@@ -34,13 +44,13 @@
 //! Congestion counts are integers, so every cost derived from them is
 //! *bit-identical* to the recompute path; loads accumulate floating-point
 //! increments and may drift by ULPs relative to a fresh summation, which
-//! only matters at capacity boundaries already blurred by the `1e-9`
-//! feasibility slack in [`Market::fits`].
+//! only matters at capacity boundaries already blurred by the
+//! [`CAP_SLACK`] feasibility slack in [`Market::fits`].
 
 use mec_topology::CloudletId;
 
 use crate::game::IMPROVEMENT_TOL;
-use crate::model::{Market, ProviderId};
+use crate::model::{eq3, CloudletSpec, Market, ProviderId, CAP_SLACK};
 use crate::strategy::{Placement, Profile};
 
 /// A strategy profile together with incrementally-maintained congestion
@@ -169,7 +179,7 @@ impl<'m> GameState<'m> {
     pub fn is_feasible(&self) -> bool {
         self.market.cloudlets().all(|i| {
             let (a, b) = self.residual(i);
-            a >= -1e-9 && b >= -1e-9
+            a >= -CAP_SLACK && b >= -CAP_SLACK
         })
     }
 
@@ -254,60 +264,90 @@ impl<'m> GameState<'m> {
     ///
     /// Returns `None` when no candidate at all is available.
     pub fn best_response(&self, l: ProviderId) -> Option<(Placement, f64)> {
-        self.best_response_within(l, |i| Some(self.residual(i)))
+        self.best_response_in(l, Scope::All)
     }
 
-    /// [`GameState::best_response`] over a restricted view of the
-    /// cloudlets: `free(i)` is the free space the provider may see at `i`
-    /// with itself *not* removed (normally [`GameState::residual`], less
-    /// any capacity held back elsewhere), or `None` to exclude `i` from
-    /// the candidates. Candidate costs and tie-breaking are those of the
-    /// unrestricted call, which is this one with every cloudlet at its
-    /// residual.
-    pub fn best_response_within(
+    /// [`GameState::best_response`] over the cloudlets of `scope`, each
+    /// with its held-back space out of reach. Candidate costs and
+    /// tie-breaking are those of the unrestricted call, which is this one
+    /// with [`Scope::All`]: the remote option first, then the cloudlets in
+    /// ascending order, each replacing the best so far only when cheaper
+    /// by more than [`IMPROVEMENT_TOL`] — except the provider's own
+    /// cloudlet, which also wins a tie within the tolerance. A current
+    /// cloudlet outside the scope is no candidate at all.
+    pub fn best_response_in(&self, l: ProviderId, scope: Scope<'_>) -> Option<(Placement, f64)> {
+        let current = match self.profile.placement(l) {
+            Placement::Cloudlet(c) => c.index(),
+            Placement::Remote => REMOTE,
+        };
+        // The remote option comes first; forbidden, it costs +∞: "no
+        // candidate yet", which any fitting cloudlet beats.
+        let remote = (REMOTE, self.market.provider(l).remote_cost);
+        match self.scan(l, scope, current, remote, IMPROVEMENT_TOL) {
+            (REMOTE, cost) if cost.is_finite() => Some((Placement::Remote, cost)),
+            (REMOTE, _) => None,
+            (i, cost) => Some((Placement::Cloudlet(CloudletId(i)), cost)),
+        }
+    }
+
+    /// Admission of a provider not cached anywhere: the cheapest cloudlet
+    /// of `scope` (Eq. 3 at one more provider) where it fits beside the
+    /// held-back space, the lowest index winning an exact tie; `None` when
+    /// it fits nowhere. The remote option is not a candidate.
+    pub fn cheapest_fit(&self, l: ProviderId, scope: Scope<'_>) -> Option<(CloudletId, f64)> {
+        match self.scan(l, scope, REMOTE, (REMOTE, f64::INFINITY), 0.0) {
+            (REMOTE, _) => None,
+            (i, cost) => Some((CloudletId(i), cost)),
+        }
+    }
+
+    /// [`Pricer::sweep`] over the cloudlets of `scope`, split around the
+    /// `current` cloudlet (none when `current` is not in the scope).
+    fn scan(
         &self,
         l: ProviderId,
-        free: impl Fn(CloudletId) -> Option<(f64, f64)>,
-    ) -> Option<(Placement, f64)> {
-        let market = self.market;
-        let current = self.profile.placement(l);
-        let spec = market.provider(l);
-
-        let mut best: Option<(Placement, f64)> = None;
-        let mut consider = |p: Placement, cost: f64| {
-            let better = match best {
-                None => true,
-                Some((bp, bc)) => {
-                    cost < bc - IMPROVEMENT_TOL
-                        || ((cost - bc).abs() <= IMPROVEMENT_TOL && p == current && bp != current)
-                }
-            };
-            if better {
-                best = Some((p, cost));
+        scope: Scope<'_>,
+        current: usize,
+        best: (usize, f64),
+        tol: f64,
+    ) -> (usize, f64) {
+        let pricer = self.pricer(l);
+        match scope {
+            Scope::All => {
+                let m = self.sigma.len();
+                let at = current.min(m);
+                let cells = |r: std::ops::Range<usize>| r.map(|i| (i, (0.0, 0.0)));
+                let own = (at < m).then_some((at, (0.0, 0.0)));
+                pricer.sweep(cells(0..at), own, cells((at + 1).min(m)..m), best, tol)
             }
-        };
-
-        if spec.can_stay_remote() {
-            consider(Placement::Remote, spec.remote_cost);
-        }
-        for i in market.cloudlets() {
-            let Some((mut free_a, mut free_b)) = free(i) else {
-                continue;
-            };
-            // Candidates see the "others only" state: remove l from its own
-            // cloudlet before checking fit and congestion.
-            let mut others = self.sigma[i.index()];
-            if current == Placement::Cloudlet(i) {
-                free_a += spec.compute_demand;
-                free_b += spec.bandwidth_demand;
-                others -= 1;
-            }
-            if market.fits(l, (free_a, free_b)) {
-                let cost = market.caching_cost(l, i, others + 1);
-                consider(Placement::Cloudlet(i), cost);
+            Scope::Within { cloudlets, held } => {
+                debug_assert!(
+                    cloudlets.windows(2).all(|w| w[0] < w[1]),
+                    "scope cloudlets must be strictly ascending"
+                );
+                let at = cloudlets.partition_point(|c| c.index() < current);
+                let (below, rest) = cloudlets.split_at(at);
+                let (own, above) = match rest.split_first() {
+                    Some((c, above)) if c.index() == current => {
+                        (Some((current, held[current])), above)
+                    }
+                    _ => (None, rest),
+                };
+                pricer.sweep(listed(below, held), own, listed(above, held), best, tol)
             }
         }
-        best
+    }
+
+    fn pricer(&self, l: ProviderId) -> Pricer<'_> {
+        let spec = self.market.provider(l);
+        Pricer {
+            specs: self.market.cloudlet_specs(),
+            loads: &self.loads,
+            sigma: &self.sigma,
+            update: self.market.update_costs(l),
+            demand: (spec.compute_demand, spec.bandwidth_demand),
+            instantiation: spec.instantiation_cost,
+        }
     }
 
     /// `true` if the maintained aggregates match a from-scratch
@@ -326,6 +366,127 @@ impl<'m> GameState<'m> {
             .zip(&self.loads)
             .all(|(a, b)| (a.0 - b.0).abs() <= tol && (a.1 - b.1).abs() <= tol)
     }
+}
+
+/// The cloudlets a placement scan may choose from, and the capacity held
+/// back at each of them.
+#[derive(Debug, Clone, Copy)]
+pub enum Scope<'a> {
+    /// Every cloudlet, nothing held back: the game's own best response.
+    All,
+    /// A shard writer's view: only its own region's cloudlets, with the
+    /// space granted to in-flight incoming migrations out of reach.
+    Within {
+        /// Candidate cloudlets, strictly ascending.
+        cloudlets: &'a [CloudletId],
+        /// `(compute, bandwidth)` held back at each cloudlet, indexed by
+        /// cloudlet over the whole market (`0.0` where nothing is held).
+        held: &'a [(f64, f64)],
+    },
+}
+
+/// Placement index standing for the remote option.
+const REMOTE: usize = usize::MAX;
+
+/// One provider's side of a placement scan, hoisted out of the loop.
+struct Pricer<'s> {
+    specs: &'s [CloudletSpec],
+    loads: &'s [(f64, f64)],
+    sigma: &'s [usize],
+    /// The provider's update-cost row, indexed by cloudlet.
+    update: &'s [f64],
+    demand: (f64, f64),
+    instantiation: f64,
+}
+
+impl Pricer<'_> {
+    /// The provider's Eq. 3 cost at cloudlet `i`, or +∞ where Eq. 4–5
+    /// fail: the free space is the residual less `held`, and `own` marks
+    /// the provider's current cloudlet, seen with the provider removed.
+    #[inline(always)]
+    fn price(&self, i: usize, held: (f64, f64), own: bool) -> f64 {
+        let spec = &self.specs[i];
+        let (a, b) = self.loads[i];
+        let mut free = (
+            (spec.compute_capacity - a) - held.0,
+            (spec.bandwidth_capacity - b) - held.1,
+        );
+        // Congestion counting the provider itself.
+        let mut congestion = self.sigma[i] + 1;
+        if own {
+            free.0 += self.demand.0;
+            free.1 += self.demand.1;
+            congestion -= 1;
+        }
+        let cost = eq3(spec, congestion, self.instantiation, self.update[i]);
+        // Eq. 4–5 as a sign: `demand <= free + CAP_SLACK` exactly when
+        // `(free + CAP_SLACK) - demand` is not negative (finite operands;
+        // IEEE subtraction is zero only for equal ones, and then +0.0).
+        // Smearing the sign bits gives an all-ones mask on a misfit, and
+        // adding +0.0 or +∞ by that mask keeps a (non-negative) cost
+        // bit-identical or makes it +∞ — no branch on the fit.
+        let sign_mask = |x: f64| ((x.to_bits() as i64) >> 63) as u64;
+        let misfit = sign_mask((free.0 + CAP_SLACK) - self.demand.0)
+            | sign_mask((free.1 + CAP_SLACK) - self.demand.1);
+        cost + f64::from_bits(misfit & f64::INFINITY.to_bits())
+    }
+
+    /// A decision over the candidates in index order: those `below` the
+    /// provider's current cloudlet, then its `own` cloudlet (if a
+    /// candidate), then those `above` it. Returns the new best
+    /// `(index, cost)`.
+    #[inline(always)]
+    fn sweep(
+        &self,
+        below: impl Iterator<Item = Cell>,
+        own: Option<Cell>,
+        above: impl Iterator<Item = Cell>,
+        best: (usize, f64),
+        tol: f64,
+    ) -> (usize, f64) {
+        let mut best = self.run(below, best, tol);
+        if let Some((i, held)) = own {
+            // The provider stays put on a tie within `tol`.
+            let cost = self.price(i, held, true);
+            if cost < best.1 - tol || (cost - best.1).abs() <= tol {
+                best = (i, cost);
+            }
+        }
+        self.run(above, best, tol)
+    }
+
+    /// The one Eq. 3 scan: each candidate (none of them the provider's own
+    /// cloudlet) priced once, replacing `best` when cheaper than it by more
+    /// than `tol` — a strict argmin at `tol = 0`, the lowest index winning
+    /// a tie.
+    #[inline(always)]
+    fn run(&self, cells: impl Iterator<Item = Cell>, best: (usize, f64), tol: f64) -> (usize, f64) {
+        let (mut bi, mut bc) = best;
+        let mut bar = bc - tol;
+        for (i, held) in cells {
+            let cost = self.price(i, held, false);
+            if cost < bar {
+                // Rare past the first few candidates: a predicted branch
+                // keeps the running best off the loop's critical path.
+                std::hint::cold_path();
+                bi = i;
+                bc = cost;
+                bar = cost - tol;
+            }
+        }
+        (bi, bc)
+    }
+}
+
+/// A candidate cloudlet's index and the space held back there.
+type Cell = (usize, (f64, f64));
+
+/// The listed `cloudlets`, each with its `held` space.
+fn listed<'a>(
+    cloudlets: &'a [CloudletId],
+    held: &'a [(f64, f64)],
+) -> impl Iterator<Item = Cell> + 'a {
+    cloudlets.iter().map(|c| (c.index(), held[c.index()]))
 }
 
 #[cfg(test)]
@@ -433,19 +594,32 @@ mod tests {
         for k in 0..6 {
             s.apply_move(ProviderId(k), Placement::Cloudlet(CloudletId(k % 3)));
         }
+        // Only cloudlet 1, with all of its residual held back.
+        let only_1 = [CloudletId(1)];
+        let mut held = vec![(0.0, 0.0); m.cloudlet_count()];
+        held[1] = s.residual(CloudletId(1));
+        let full = Scope::Within {
+            cloudlets: &only_1,
+            held: &held,
+        };
+        let empty = Scope::Within {
+            cloudlets: &[],
+            held: &held,
+        };
         for l in m.providers() {
-            // Only cloudlet 1, and nothing free there: never a cloudlet
-            // other than the one the provider already occupies.
-            let only_own = s.best_response_within(l, |i| (i.index() == 1).then_some((0.0, 0.0)));
-            match only_own {
+            // Nothing free at the only candidate: never a cloudlet other
+            // than the one the provider already occupies.
+            match s.best_response_in(l, full) {
                 Some((Placement::Cloudlet(i), _)) => {
                     assert_eq!(s.placement(l), Placement::Cloudlet(i), "{l}")
                 }
                 Some((Placement::Remote, _)) | None => {}
             }
+            assert_eq!(s.cheapest_fit(l, full), None, "{l}");
             // Every cloudlet excluded: the remote option or nothing.
-            let none = s.best_response_within(l, |_| None);
+            let none = s.best_response_in(l, empty);
             assert!(matches!(none, Some((Placement::Remote, _)) | None), "{l}");
+            assert_eq!(s.cheapest_fit(l, empty), None, "{l}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use mec_topology::CloudletId;
 
-use crate::model::{Market, ProviderId};
+use crate::model::{Market, ProviderId, CAP_SLACK};
 
 /// One provider's strategy: cache at a cloudlet or stay in the remote cloud.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,7 +121,7 @@ impl Profile {
     pub fn is_feasible(&self, market: &Market) -> bool {
         self.residual(market)
             .iter()
-            .all(|&(a, b)| a >= -1e-9 && b >= -1e-9)
+            .all(|&(a, b)| a >= -CAP_SLACK && b >= -CAP_SLACK)
     }
 
     /// Cost of provider `l` under this profile — Eq. (3)/(5), or the remote

@@ -10,7 +10,7 @@
 //! Checkers:
 //!
 //! * [`check_capacity`] — Eq. (4)–(5): no cloudlet's compute or bandwidth
-//!   capacity is exceeded (with the model's `1e-9` slack);
+//!   capacity is exceeded (with the model's [`CAP_SLACK`](crate::model::CAP_SLACK));
 //! * [`check_congestion`] — claimed `|σ_i|` counts match a recount of the
 //!   profile;
 //! * [`check_cost_reconstruction`] — a reported social cost matches a
@@ -32,13 +32,9 @@
 
 use mec_topology::CloudletId;
 
-use crate::model::{Market, ProviderId};
+use crate::model::{Market, ProviderId, CAP_SLACK};
 use crate::state::GameState;
 use crate::strategy::{Placement, Profile};
-
-/// Capacity slack used throughout the model (matches
-/// [`Profile::is_feasible`] and [`Market::fits`]).
-const CAP_SLACK: f64 = 1e-9;
 
 /// A single broken invariant found in a profile, state, or solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,7 +284,7 @@ fn eq3_cost(market: &Market, l: ProviderId, c: CloudletId, sigma: usize) -> f64 
 }
 
 /// Certifies Eq. (4)–(5): no cloudlet's compute or bandwidth capacity
-/// is exceeded by `profile` (beyond the model's `1e-9` slack).
+/// is exceeded by `profile` (beyond the model's [`CAP_SLACK`]).
 pub fn check_capacity(market: &Market, profile: &Profile) -> Vec<Violation> {
     let (_, loads) = recount(market, profile);
     let mut out = Vec::new();

@@ -39,7 +39,8 @@ use std::time::{Duration, Instant};
 use mec_core::game::IMPROVEMENT_TOL;
 use mec_core::model::Market;
 use mec_core::{
-    load_snapshot, save_snapshot_sharded, GameState, Placement, Profile, ProviderId, ShardMeta,
+    load_snapshot, save_snapshot_sharded, GameState, Placement, Profile, ProviderId, Scope,
+    ShardMeta, CAP_SLACK,
 };
 use mec_topology::CloudletId;
 
@@ -52,9 +53,6 @@ use crate::shard::{
     Manifest, Router, ShardGauges,
 };
 use crate::view::{MarketView, SharedView};
-
-/// Same slack as [`Market::fits`], used when debiting reservations.
-const CAP_SLACK: f64 = 1e-9;
 
 /// How long an idle writer sleeps between housekeeping ticks (rebalance
 /// scans, noticing the I/O side went away).
@@ -304,6 +302,9 @@ pub struct ShardCtx {
     pub demand: Arc<DemandTracker>,
     /// Interned probe name for this shard's publish latency.
     publish_probe: &'static str,
+    /// The cloudlets `mine` marks, ascending: the candidates of every
+    /// admission scan and best response this shard runs.
+    owned: Vec<CloudletId>,
 }
 
 /// Literal per-shard publish probes (the common shard counts); higher
@@ -337,6 +338,10 @@ impl ShardCtx {
         } else {
             Box::leak(format!("serve.publish.s{index}.ns").into_boxed_str())
         };
+        let owned = (0..mine.len())
+            .filter(|&c| mine[c])
+            .map(CloudletId)
+            .collect();
         ShardCtx {
             index,
             shards,
@@ -349,6 +354,7 @@ impl ShardCtx {
             io_live,
             demand: Arc::new(DemandTracker::disabled()),
             publish_probe,
+            owned,
         }
     }
 
@@ -380,6 +386,15 @@ impl ShardCtx {
     /// `true` if cloudlet `c` belongs to this shard's region.
     fn owns_cloudlet(&self, c: usize) -> bool {
         self.mine.get(c).copied().unwrap_or(false)
+    }
+
+    /// The placement-scan scope of this shard's region, with `held`
+    /// (per cloudlet) out of reach.
+    fn scope<'a>(&'a self, held: &'a [(f64, f64)]) -> Scope<'a> {
+        Scope::Within {
+            cloudlets: &self.owned,
+            held,
+        }
     }
 
     /// `true` if some cloudlet belongs to another shard's region.
@@ -480,8 +495,13 @@ struct Book {
     /// per-target ordering is preserved. The writer never blocks on a
     /// peer queue — that is what makes shard-to-shard cycles safe.
     outbound: VecDeque<(usize, Command)>,
-    /// Capacity debits granted to in-flight incoming migrations.
+    /// Capacity debits granted to in-flight incoming migrations. Change
+    /// it only through [`Book::reserve`], [`Book::release`] and
+    /// [`Book::clear_reserved`], which keep `held` in step.
     reserved: Vec<Reservation>,
+    /// `reserved` summed per cloudlet (exactly `0.0` where there is
+    /// none): the space admission and best responses may not use.
+    held: Vec<(f64, f64)>,
     /// The at-most-one outgoing migration handoff.
     outgoing: Option<Outgoing>,
     /// Providers whose client left between reserve-grant and commit; the
@@ -497,7 +517,7 @@ struct Book {
 }
 
 impl Book {
-    fn new(active: Vec<bool>, seq: u64) -> Book {
+    fn new(active: Vec<bool>, seq: u64, cloudlets: usize) -> Book {
         let n = active.len();
         Book {
             active,
@@ -509,11 +529,44 @@ impl Book {
             demand_ewma: vec![0.0; n],
             outbound: VecDeque::new(),
             reserved: Vec::new(),
+            held: vec![(0.0, 0.0); cloudlets],
             outgoing: None,
             tombstones: Vec::new(),
             paused: false,
             parked_preps: Vec::new(),
             ticks: 0,
+        }
+    }
+
+    /// Grants an incoming migration its capacity.
+    fn reserve(&mut self, r: Reservation) {
+        self.reserved.push(r);
+        self.rehold();
+    }
+
+    /// Drops `provider`'s reservation, if any; `true` if there was one.
+    fn release(&mut self, provider: usize) -> bool {
+        let before = self.reserved.len();
+        self.reserved.retain(|r| r.provider != provider);
+        let released = self.reserved.len() != before;
+        if released {
+            self.rehold();
+        }
+        released
+    }
+
+    /// Drops every reservation, over a market of `cloudlets` cloudlets.
+    fn clear_reserved(&mut self, cloudlets: usize) {
+        self.reserved.clear();
+        self.held = vec![(0.0, 0.0); cloudlets];
+    }
+
+    /// Rebuilds `held` from `reserved`.
+    fn rehold(&mut self) {
+        self.held.fill((0.0, 0.0));
+        for r in &self.reserved {
+            self.held[r.cloudlet].0 += r.compute;
+            self.held[r.cloudlet].1 += r.bandwidth;
         }
     }
 }
@@ -550,7 +603,7 @@ pub fn run_shard(
     cfg: &MarketConfig,
     ctx: &ShardCtx,
 ) -> MarketOutcome {
-    let mut book = Book::new(active, seq);
+    let mut book = Book::new(active, seq, market.cloudlet_count());
     // Commands that mutate the market itself finish after the rebuild.
     let mut pending: Option<Pending> = None;
     // The unapplied remainder of a batch interrupted by a rebuild.
@@ -734,7 +787,7 @@ pub fn run_shard(
                                 compute <= a + CAP_SLACK && bandwidth <= b + CAP_SLACK
                             };
                         if granted {
-                            book.reserved.push(Reservation {
+                            book.reserve(Reservation {
                                 provider,
                                 cloudlet,
                                 compute,
@@ -757,7 +810,7 @@ pub fn run_shard(
                         compute,
                         bandwidth,
                     } => {
-                        book.reserved.retain(|r| r.provider != provider);
+                        book.release(provider);
                         if let Some(ix) = book.tombstones.iter().position(|p| *p == provider) {
                             // The client left while the handoff was in
                             // flight; we own an inactive remote provider.
@@ -780,7 +833,7 @@ pub fn run_shard(
                         }
                     }
                     Command::MigrateAbort { provider } => {
-                        book.reserved.retain(|r| r.provider != provider);
+                        book.release(provider);
                         book.tombstones.retain(|p| *p != provider);
                     }
                     Command::Prepare { op } => {
@@ -819,7 +872,7 @@ pub fn run_shard(
                                     book.seq = snap.seq;
                                     book.equilibrium = false;
                                     book.cursor = 0;
-                                    book.reserved.clear();
+                                    book.clear_reserved(market.cloudlet_count());
                                     book.tombstones.clear();
                                     if let Some(meta) = &snap.shard {
                                         for (p, owned) in meta.owned.iter().enumerate() {
@@ -941,14 +994,9 @@ fn demands_differ(state: &GameState<'_>, provider: usize, compute: f64, bandwidt
 /// Residual capacity at `i` net of migration reservations — the free
 /// space admission and best responses are allowed to see.
 fn free_at(state: &GameState<'_>, book: &Book, i: CloudletId) -> (f64, f64) {
-    let (mut a, mut b) = state.residual(i);
-    for r in &book.reserved {
-        if r.cloudlet == i.index() {
-            a -= r.compute;
-            b -= r.bandwidth;
-        }
-    }
-    (a, b)
+    let (a, b) = state.residual(i);
+    let (ha, hb) = book.held[i.index()];
+    (a - ha, b - hb)
 }
 
 /// `true` if this shard no longer owns `provider` (the router moved it
@@ -1360,14 +1408,7 @@ fn handle_join(
             let i = CloudletId(c);
             market.fits(l, free_at(state, book, i)).then_some(i)
         }
-        None => market
-            .cloudlets()
-            .filter(|&i| ctx.owns_cloudlet(i.index()) && market.fits(l, free_at(state, book, i)))
-            .min_by(|&a, &b| {
-                let ca = market.caching_cost(l, a, state.congestion(a) + 1);
-                let cb = market.caching_cost(l, b, state.congestion(b) + 1);
-                ca.total_cmp(&cb)
-            }),
+        None => state.cheapest_fit(l, ctx.scope(&book.held)).map(|(i, _)| i),
     };
     match chosen {
         Some(i) => {
@@ -1411,8 +1452,7 @@ fn handle_leave(state: &mut GameState<'_>, book: &mut Book, provider: usize) -> 
     if !book.active[provider] {
         // An incoming migration commit may be about to land (the client's
         // leave overtook it): honor the leave by tombstoning the handoff.
-        if book.reserved.iter().any(|r| r.provider == provider) {
-            book.reserved.retain(|r| r.provider != provider);
+        if book.release(provider) {
             if !book.tombstones.contains(&provider) {
                 book.tombstones.push(provider);
             }
@@ -1438,7 +1478,7 @@ fn settle_update(state: &mut GameState<'_>, book: &mut Book, l: ProviderId) -> R
     let mut evicted = false;
     if let Placement::Cloudlet(i) = state.placement(l) {
         let (a, b) = state.residual(i);
-        if a < -1e-9 || b < -1e-9 {
+        if a < -CAP_SLACK || b < -CAP_SLACK {
             state.apply_move(l, Placement::Remote);
             book.seq += 1;
             evicted = true;
@@ -1505,10 +1545,7 @@ fn run_quantum(state: &mut GameState<'_>, book: &mut Book, ctx: &ShardCtx, max_m
         let current = state.provider_cost(l);
         // Best response over this shard's region, with migration
         // reservations held back from the free space.
-        let br = state.best_response_within(l, |i| {
-            ctx.owns_cloudlet(i.index())
-                .then(|| free_at(state, book, i))
-        });
+        let br = state.best_response_in(l, ctx.scope(&book.held));
         match br {
             Some((p, cost)) if p != state.placement(l) && cost < current - IMPROVEMENT_TOL => {
                 state.apply_move(l, p);
@@ -1546,11 +1583,10 @@ fn publish(view: &SharedView, state: &GameState<'_>, book: &Book) {
     let congestion = state.congestion_counts().to_vec();
     // Peers read the residuals to estimate migrations: show them the free
     // space net of already-granted reservations so they never over-target.
-    let mut residual: Vec<(f64, f64)> = market.cloudlets().map(|i| state.residual(i)).collect();
-    for r in &book.reserved {
-        residual[r.cloudlet].0 -= r.compute;
-        residual[r.cloudlet].1 -= r.bandwidth;
-    }
+    let residual: Vec<(f64, f64)> = market
+        .cloudlets()
+        .map(|i| free_at(state, book, i))
+        .collect();
     let demands: Vec<(f64, f64)> = market
         .providers()
         .map(|l| {
@@ -1737,7 +1773,7 @@ fn drain_and_finish(
     }
     // Any reservation left now belongs to a handoff that died with its
     // source; drop them so the final equilibrium is unconstrained.
-    book.reserved.clear();
+    book.clear_reserved(state.market().cloudlet_count());
     finish(state, book, cfg, ctx)
 }
 
@@ -1778,7 +1814,7 @@ fn drain_cmd(state: &mut GameState<'_>, book: &mut Book, ctx: &ShardCtx, cmd: Co
             // Demand drift cannot rebuild mid-drain; the local demands are
             // used for the capacity re-check and the final slice, which
             // keeps the certificates self-consistent.
-            book.reserved.retain(|r| r.provider != provider);
+            book.release(provider);
             if let Some(ix) = book.tombstones.iter().position(|p| *p == provider) {
                 book.tombstones.swap_remove(ix);
             } else if provider < state.len() && !book.active[provider] {
@@ -1786,7 +1822,7 @@ fn drain_cmd(state: &mut GameState<'_>, book: &mut Book, ctx: &ShardCtx, cmd: Co
             }
         }
         Command::MigrateAbort { provider } => {
-            book.reserved.retain(|r| r.provider != provider);
+            book.release(provider);
             book.tombstones.retain(|p| *p != provider);
         }
         other => refuse(other),
@@ -2092,6 +2128,58 @@ mod tests {
             matches!(p1, Placement::Cloudlet(_)),
             "hot provider 1 must win the slot under demand-driven ordering, got {p0:?}/{p1:?}"
         );
+    }
+
+    /// Space granted to an incoming migration is out of reach of every
+    /// admission scan until the reservation goes away.
+    #[test]
+    fn held_back_space_is_never_admitted_into() {
+        // Cloudlet 0 is the cheaper; each cloudlet fits one provider.
+        let market = Market::builder()
+            .cloudlet(CloudletSpec::new(2.0, 8.0, 0.1, 0.1))
+            .cloudlet(CloudletSpec::new(2.0, 8.0, 1.0, 1.0))
+            .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+            .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+            .provider(ProviderSpec::new(2.0, 8.0, 1.0, 30.0))
+            .uniform_update_cost(0.2)
+            .build();
+        // Provider 0 takes the dear cloudlet, so the cheap one is the only
+        // one with room; then it is reserved for provider 2's migration.
+        let (pin_tx, pin_rx) = chan::oneshot();
+        let pin = Command::Join {
+            provider: 0,
+            cloudlet: Some(1),
+            reply: pin_tx.into(),
+        };
+        let reserve = Command::MigrateReserve {
+            provider: 2,
+            cloudlet: 0,
+            compute: 2.0,
+            bandwidth: 8.0,
+            from: 0,
+        };
+        let (held_join, held_rx) = join(1);
+        let abort = Command::MigrateAbort { provider: 2 };
+        let (free_join, free_rx) = join(1);
+        let (_, outcome) = drive(market, vec![pin, reserve, held_join, abort, free_join]);
+
+        assert!(matches!(
+            pin_rx.recv(),
+            Some(Response::Admitted { cloudlet: 1, .. })
+        ));
+        assert!(
+            matches!(held_rx.recv(), Some(Response::Rejected { .. })),
+            "the only free space is held back"
+        );
+        assert!(
+            matches!(free_rx.recv(), Some(Response::Admitted { cloudlet: 0, .. })),
+            "the abort frees the cheap cloudlet"
+        );
+        assert_eq!(
+            outcome.profile.placement(ProviderId(1)),
+            Placement::Cloudlet(CloudletId(0))
+        );
+        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     }
 
     #[test]
