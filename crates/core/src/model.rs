@@ -269,10 +269,11 @@ impl Market {
             .fold(0.0, f64::max)
     }
 
-    /// Replaces provider `l`'s `(compute, bandwidth)` demands in place —
-    /// the serving layer's `UpdateDemand` operation. Aggregates derived
-    /// from the old demands (a [`crate::state::GameState`] built over
-    /// this market) must be rebuilt afterwards; they are not notified.
+    /// Replaces provider `l`'s `(compute, bandwidth)` demands in place.
+    /// Aggregates derived from the old demands are not notified: to change
+    /// a demand under a live [`crate::state::GameState`], call
+    /// [`crate::state::GameState::set_demand`], which updates its loads
+    /// with the market row.
     ///
     /// # Panics
     ///

@@ -11,7 +11,8 @@
 //! `O(N·(N+M))` time and `~3N` heap allocations.
 //!
 //! [`GameState`] answers all three in `O(1)` by carrying the aggregates
-//! alongside the profile and updating them in [`GameState::apply_move`]:
+//! alongside the profile and updating them in [`GameState::apply_move`]
+//! and [`GameState::set_demand`]:
 //!
 //! | operation            | `Profile` (recompute) | `GameState` |
 //! |----------------------|-----------------------|-------------|
@@ -19,6 +20,7 @@
 //! | residual lookup      | `O(N+M)` + alloc      | `O(1)`      |
 //! | provider cost        | `O(N)`                | `O(1)`      |
 //! | apply one move       | —                     | `O(1)`      |
+//! | change one demand    | —                     | `O(1)`      |
 //! | best response        | `O(N+M)` + 2 allocs   | `O(M)`, allocation-free |
 //! | best response / admission in a [`Scope`] of `K` cloudlets | — | `O(K)`, allocation-free |
 //! | full sweep           | `O(N·(N+M))`          | `O(N·M)`    |
@@ -32,9 +34,13 @@
 //! a tie), best response the [`IMPROVEMENT_TOL`] rule of
 //! [`crate::game::best_response`].
 //!
+//! A demand `(A_l, B_l)` enters only the Eq. 4–5 capacity constraints, not
+//! the Eq. 3 cost, so a demand change rewrites one market row and at most
+//! one cloudlet's load, with no rebuild.
+//!
 //! The maintained invariant — checked by a `debug_assert!` after every
-//! move and by randomized differential tests — is exact agreement with
-//! recomputation from scratch:
+//! move and demand change, and by randomized differential tests — is exact
+//! agreement with recomputation from scratch:
 //!
 //! ```text
 //! sigma[i] == |{l : σ(l) = CL_i}|                  (exactly)
@@ -46,6 +52,8 @@
 //! increments and may drift by ULPs relative to a fresh summation, which
 //! only matters at capacity boundaries already blurred by the
 //! [`CAP_SLACK`] feasibility slack in [`Market::fits`].
+
+use std::borrow::Cow;
 
 use mec_topology::CloudletId;
 
@@ -78,7 +86,7 @@ use crate::strategy::{Placement, Profile};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GameState<'m> {
-    market: &'m Market,
+    market: Cow<'m, Market>,
     profile: Profile,
     /// Congestion `|σ_i|` per cloudlet.
     sigma: Vec<usize>,
@@ -93,13 +101,27 @@ impl<'m> GameState<'m> {
     ///
     /// Panics if `profile` does not cover exactly the market's providers.
     pub fn new(market: &'m Market, profile: Profile) -> Self {
+        GameState::over(Cow::Borrowed(market), profile)
+    }
+
+    /// [`GameState::new`] over a market the state owns, so that demand
+    /// changes ([`GameState::set_demand`]) never copy it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile` does not cover exactly the market's providers.
+    pub fn owned(market: Market, profile: Profile) -> Self {
+        GameState::over(Cow::Owned(market), profile)
+    }
+
+    fn over(market: Cow<'m, Market>, profile: Profile) -> Self {
         assert_eq!(
             profile.len(),
             market.provider_count(),
             "profile/provider count mismatch"
         );
-        let sigma = profile.congestion(market);
-        let loads = profile.loads(market);
+        let sigma = profile.congestion(&market);
+        let loads = profile.loads(&market);
         GameState {
             market,
             profile,
@@ -115,8 +137,8 @@ impl<'m> GameState<'m> {
 
     /// The underlying market.
     #[inline]
-    pub fn market(&self) -> &'m Market {
-        self.market
+    pub fn market(&self) -> &Market {
+        &self.market
     }
 
     /// Read-only view of the profile.
@@ -238,6 +260,33 @@ impl<'m> GameState<'m> {
         old
     }
 
+    /// Replaces provider `l`'s `(compute, bandwidth)` demands and moves
+    /// its cloudlet's load (if it is cached) by the difference — `O(1)`;
+    /// congestion and costs are unchanged. A state over a borrowed market
+    /// copies the market on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range or a demand is negative/non-finite.
+    pub fn set_demand(&mut self, l: ProviderId, compute: f64, bandwidth: f64) {
+        let old = self.market.provider(l);
+        let delta = (
+            compute - old.compute_demand,
+            bandwidth - old.bandwidth_demand,
+        );
+        let market = self.market.to_mut();
+        market.set_provider_demand(l, compute, bandwidth);
+        if let Placement::Cloudlet(c) = self.profile.placement(l) {
+            let k = c.index();
+            self.loads[k].0 += delta.0;
+            self.loads[k].1 += delta.1;
+        }
+        debug_assert!(
+            self.agrees_with_recompute(1e-9),
+            "incremental state diverged from recompute after re-demanding {l}"
+        );
+    }
+
     /// Cost provider `l` pays under the current profile — `O(1)`
     /// (Eq. (3)/(5), or the remote cost when not cached).
     pub fn provider_cost(&self, l: ProviderId) -> f64 {
@@ -356,11 +405,11 @@ impl<'m> GameState<'m> {
     /// `debug_assert!`ed after every [`GameState::apply_move`] and pounded
     /// by the randomized differential tests.
     pub fn agrees_with_recompute(&self, tol: f64) -> bool {
-        let sigma = self.profile.congestion(self.market);
+        let sigma = self.profile.congestion(&self.market);
         if sigma != self.sigma {
             return false;
         }
-        let loads = self.profile.loads(self.market);
+        let loads = self.profile.loads(&self.market);
         loads
             .iter()
             .zip(&self.loads)

@@ -10,7 +10,7 @@
 //! Checkers:
 //!
 //! * [`check_capacity`] — Eq. (4)–(5): no cloudlet's compute or bandwidth
-//!   capacity is exceeded (with the model's [`CAP_SLACK`](crate::model::CAP_SLACK));
+//!   capacity is exceeded (with the model's [`CAP_SLACK`]);
 //! * [`check_congestion`] — claimed `|σ_i|` counts match a recount of the
 //!   profile;
 //! * [`check_cost_reconstruction`] — a reported social cost matches a

@@ -176,7 +176,7 @@ impl LoadReport {
         json::push_f64(&mut s, self.write_ops_per_sec());
         s.push_str(",\"server_social_cost\":");
         json::push_f64(&mut s, self.server.social_cost);
-        // Per-shard breakdown (sharded daemons only): lifetime writes,
+        // Per-shard breakdown: lifetime writes,
         // last-drain queue depth, and each shard's write throughput over
         // the run, so a skewed partition shows up as one hot shard.
         if !self.server.shards.is_empty() {

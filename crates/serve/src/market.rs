@@ -24,11 +24,12 @@
 //! once the queue goes quiet. At equilibrium with an empty queue the
 //! thread sleeps on the channel, waking each idle tick for housekeeping.
 //!
-//! [`GameState`] borrows the market, so commands that must mutate the
-//! market itself (demand updates, restores) publish and acknowledge the
-//! batch prefix, exit the serving loop, mutate, and rebuild the state in
-//! `O(N + M)` — the `'rebuild` pattern. The unapplied batch remainder is
-//! carried across the rebuild and applied against the fresh state.
+//! Each shard builds one `Shard` at boot and keeps it until drain: a
+//! [`GameState`] that owns the shard's market copy, plus its book-keeping.
+//! A demand update moves one cloudlet's load in `O(1)`
+//! ([`GameState::set_demand`]) and a restore swaps the state in place, so
+//! neither leaves the batch pass, and every command — serving or
+//! draining — goes through one dispatcher, `Shard::step`.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -432,34 +433,6 @@ pub struct MarketOutcome {
     pub violations: Vec<String>,
 }
 
-/// A reply whose command forced a `'rebuild` — it is answered (and the
-/// rebuilt view published) before the new serving loop starts.
-enum Pending {
-    /// `update_demand`: settle eviction on the rebuilt state.
-    Update(ProviderId, Reply),
-    /// A forwarded join whose demands were synced into the market.
-    Forward {
-        /// Provider id.
-        provider: usize,
-        /// Requested cloudlet, if any.
-        cloudlet: Option<usize>,
-        /// Shards tried so far.
-        hop: usize,
-        /// Reply route.
-        reply: Reply,
-    },
-    /// A migration commit whose demands were synced into the market.
-    Commit {
-        /// Provider id.
-        provider: usize,
-        /// Reserved cloudlet.
-        cloudlet: usize,
-    },
-    /// A coordinated restore: ack the apply barrier once the rebuilt
-    /// view is published.
-    CoordRestore(Arc<CoordOp>),
-}
-
 /// Capacity debited at a cloudlet for an in-flight incoming migration.
 struct Reservation {
     provider: usize,
@@ -473,11 +446,9 @@ struct Outgoing {
     provider: usize,
     target: usize,
     cloudlet: usize,
-    /// Set by a drain: answer the pending grant with an abort.
-    cancelled: bool,
 }
 
-/// Mutable book-keeping that survives `'rebuild` iterations.
+/// A shard's book-keeping beside its game state.
 struct Book {
     active: Vec<bool>,
     seq: u64,
@@ -510,6 +481,10 @@ struct Book {
     /// `true` between a coordinated prepare and its apply: no new
     /// migrations originate and no reservations are granted.
     paused: bool,
+    /// `true` once the shard drains: client work is refused, no
+    /// reservation is granted, an outgoing handoff still in flight is
+    /// aborted, and only migration traffic is settled.
+    draining: bool,
     /// Prepare fan-outs deferred until the outgoing handoff resolves.
     parked_preps: Vec<Arc<CoordOp>>,
     /// Idle housekeeping ticks (throttles rebalance scans).
@@ -533,6 +508,7 @@ impl Book {
             outgoing: None,
             tombstones: Vec::new(),
             paused: false,
+            draining: false,
             parked_preps: Vec::new(),
             ticks: 0,
         }
@@ -569,13 +545,269 @@ impl Book {
             self.held[r.cloudlet].1 += r.bandwidth;
         }
     }
+
+    /// Enters drain mode: this shard originates no further migrations, and
+    /// an in-flight outgoing handoff is aborted when its grant comes back.
+    /// Coordinated snapshots parked behind that handoff fail with the
+    /// drain error; their barriers still complete so no client is
+    /// stranded.
+    fn begin_drain(&mut self, ctx: &ShardCtx) {
+        self.draining = true;
+        for op in std::mem::take(&mut self.parked_preps) {
+            op.push_error("daemon is draining".to_string());
+            complete_prepare(self, ctx, &op);
+        }
+    }
+}
+
+/// One shard's writer state for its whole life, boot to drain: the game
+/// over the shard's own market copy and the book-keeping beside it. A
+/// demand change or a restore updates it in place.
+pub(crate) struct Shard {
+    state: GameState<'static>,
+    book: Book,
+}
+
+impl Shard {
+    /// Builds a shard's boot state (`market`/`profile`/`active`/`seq`,
+    /// possibly restored from a snapshot by the caller) and publishes its
+    /// first view, so a read answered before the writer thread runs
+    /// already sees the boot state.
+    pub(crate) fn boot(
+        market: Market,
+        profile: Profile,
+        active: Vec<bool>,
+        seq: u64,
+        view: &SharedView,
+        ctx: &ShardCtx,
+    ) -> Shard {
+        let shard = Shard {
+            book: Book::new(active, seq, market.cloudlet_count()),
+            state: GameState::owned(market, profile),
+        };
+        publish_timed(view, &shard.state, &shard.book, ctx);
+        shard
+    }
+
+    /// Applies one command: the writer's only command dispatcher, run by
+    /// the serving loop and the drain linger alike. Replies that may leave
+    /// only once the view covering them is published go to `acks`.
+    fn step(
+        &mut self,
+        cmd: Command,
+        ctx: &ShardCtx,
+        cfg: &MarketConfig,
+        acks: &mut Vec<(Reply, Response)>,
+    ) {
+        let Shard { state, book } = self;
+        let routed = match &cmd {
+            Command::Join { provider, .. }
+            | Command::Leave { provider, .. }
+            | Command::Update { provider, .. } => Some(*provider),
+            _ => None,
+        };
+        let migration = matches!(
+            cmd,
+            Command::MigrateReserve { .. }
+                | Command::MigrateGrant { .. }
+                | Command::MigrateCommit { .. }
+                | Command::MigrateAbort { .. }
+        );
+        if book.draining && !migration {
+            return refuse(cmd);
+        }
+        // A client write whose provider the router moved to another shard
+        // after the I/O thread picked this queue chases the owner. The
+        // chase converges because ownership only changes when the new
+        // owner actually processes work for the provider.
+        if let Some(owner) = routed
+            .map(|p| ctx.router.owner(p))
+            .filter(|&k| k != ctx.index)
+        {
+            mec_obs::counter_add("serve.shard.route", 1);
+            return send_peer(book, ctx, owner, cmd);
+        }
+        match cmd {
+            Command::Join {
+                provider,
+                cloudlet,
+                reply,
+            } => {
+                if let Some(ack) = handle_join(state, book, ctx, provider, cloudlet, 0, reply) {
+                    ctx.gauges.add_writes(ctx.index, 1);
+                    acks.push(ack);
+                }
+            }
+            Command::Leave { provider, reply } => {
+                ctx.gauges.add_writes(ctx.index, 1);
+                acks.push((reply, handle_leave(state, book, provider)));
+            }
+            Command::Update {
+                provider,
+                compute,
+                bandwidth,
+                reply,
+            } => {
+                ctx.gauges.add_writes(ctx.index, 1);
+                let resp = handle_update(state, book, provider, compute, bandwidth);
+                acks.push((reply, resp));
+            }
+            Command::JoinForward {
+                provider,
+                cloudlet,
+                compute,
+                bandwidth,
+                hop,
+                reply,
+            } => {
+                if provider >= state.len() {
+                    acks.push((reply, unknown_provider(provider)));
+                    return;
+                }
+                let spec = state.market().provider(ProviderId(provider));
+                let held = (
+                    spec.compute_demand.to_bits(),
+                    spec.bandwidth_demand.to_bits(),
+                );
+                if held != (compute.to_bits(), bandwidth.to_bits()) {
+                    // The forwarder's demands are authoritative.
+                    state.set_demand(ProviderId(provider), compute, bandwidth);
+                    book.seq += 1;
+                    book.equilibrium = false;
+                }
+                if let Some(ack) = handle_join(state, book, ctx, provider, cloudlet, hop, reply) {
+                    ctx.gauges.add_writes(ctx.index, 1);
+                    acks.push(ack);
+                }
+            }
+            Command::MigrateReserve {
+                provider,
+                cloudlet,
+                compute,
+                bandwidth,
+                from,
+            } => {
+                // Authoritative Eq. 4–5 admission on the target's own
+                // thread; never granted while draining or while a
+                // coordinated snapshot is between prepare and apply (a
+                // commit admitted then could land behind the apply and
+                // vanish from every slice).
+                let granted = !book.paused
+                    && !book.draining
+                    && provider < state.len()
+                    && ctx.owns_cloudlet(cloudlet)
+                    && !book.active[provider]
+                    && {
+                        let (a, b) = free_at(state, book, CloudletId(cloudlet));
+                        compute <= a + CAP_SLACK && bandwidth <= b + CAP_SLACK
+                    };
+                if granted {
+                    book.reserve(Reservation {
+                        provider,
+                        cloudlet,
+                        compute,
+                        bandwidth,
+                    });
+                }
+                send_peer(book, ctx, from, Command::MigrateGrant { provider, granted });
+            }
+            Command::MigrateGrant { provider, granted } => {
+                handle_grant(state, book, ctx, provider, granted);
+            }
+            Command::MigrateCommit {
+                provider,
+                cloudlet,
+                compute,
+                bandwidth,
+            } => {
+                book.release(provider);
+                if let Some(ix) = book.tombstones.iter().position(|p| *p == provider) {
+                    // The client left while the handoff was in flight; we
+                    // own an inactive remote provider.
+                    book.tombstones.swap_remove(ix);
+                } else if provider < state.len() && !book.active[provider] {
+                    // The source's demands are authoritative. Capacity was
+                    // reserved at grant time, but demands may have moved
+                    // underneath the reservation: re-check, and fall back
+                    // to remote (still active; maintenance quanta re-place
+                    // it when capacity frees up).
+                    let l = ProviderId(provider);
+                    state.set_demand(l, compute, bandwidth);
+                    let fits = ctx.owns_cloudlet(cloudlet)
+                        && state
+                            .market()
+                            .fits(l, free_at(state, book, CloudletId(cloudlet)));
+                    let to = fits.then_some(Placement::Cloudlet(CloudletId(cloudlet)));
+                    state.apply_move(l, to.unwrap_or(Placement::Remote));
+                    book.active[provider] = true;
+                    book.seq += 1;
+                    book.equilibrium = false;
+                    ctx.gauges.add_writes(ctx.index, 1);
+                }
+            }
+            Command::MigrateAbort { provider } => {
+                book.release(provider);
+                book.tombstones.retain(|p| *p != provider);
+            }
+            Command::Prepare { op } => {
+                book.paused = true;
+                if book.outgoing.is_some() {
+                    // Ack only once the in-flight handoff has sent commit
+                    // or abort — that FIFO-orders any commit ahead of the
+                    // apply fan-out on the target.
+                    book.parked_preps.push(op);
+                } else {
+                    complete_prepare(book, ctx, &op);
+                }
+            }
+            Command::Apply { op } => {
+                let applied = match op.kind {
+                    CoordKind::Snapshot => snapshot_base(cfg)
+                        .and_then(|base| write_shard_slice(state, book, ctx, base, op.epoch)),
+                    CoordKind::Restore => load_my_slice(cfg, ctx).map(|snap| {
+                        *state = GameState::owned(snap.market, snap.profile);
+                        book.active = snap.active;
+                        book.seq = snap.seq;
+                        book.equilibrium = false;
+                        book.cursor = 0;
+                        book.clear_reserved(state.market().cloudlet_count());
+                        book.tombstones.clear();
+                        for (p, owned) in snap.shard.iter().flat_map(|m| m.owned.iter().enumerate())
+                        {
+                            if *owned {
+                                ctx.router.set_owner(p, ctx.index);
+                            }
+                        }
+                    }),
+                };
+                if let Err(msg) = applied {
+                    op.push_error(msg);
+                }
+                op.fold_seq(book.seq);
+                book.paused = false;
+                acks.extend(complete_apply(&op, cfg));
+            }
+            Command::DrainAll { op } => {
+                book.begin_drain(ctx);
+                if op.ack() {
+                    acks.extend(op.take_reply().map(|reply| (reply, Response::Draining)));
+                }
+            }
+            Command::Shutdown { reply } => {
+                // In-process drivers: drain this shard with the full
+                // protocol, so in-flight migrations still resolve.
+                book.begin_drain(ctx);
+                acks.push((reply, Response::Draining));
+            }
+        }
+    }
 }
 
 /// Runs a market as its own only shard ([`ShardCtx::solo`]) to
 /// completion. `market`/`profile`/`active`/`seq` are the boot state
 /// (possibly restored from a snapshot by the caller); the function
 /// returns when a `shutdown` command drains it or every sender
-/// disappears. A daemon runs [`run_shard`] once per region instead.
+/// disappears. A daemon runs `run_shard` once per region instead.
 pub fn run_market(
     market: Market,
     profile: Profile,
@@ -586,390 +818,74 @@ pub fn run_market(
     cfg: &MarketConfig,
 ) -> MarketOutcome {
     let ctx = ShardCtx::solo(market.provider_count(), market.cloudlet_count());
-    run_shard(market, profile, active, seq, rx, view, cfg, &ctx)
+    let shard = Shard::boot(market, profile, active, seq, view, &ctx);
+    run_shard(shard, rx, view, cfg, &ctx)
 }
 
 /// Runs one shard's writer thread to completion: the batched serving loop,
 /// cross-shard forwarding, two-phase migration, and the coordinated
-/// snapshot/restore/drain protocol.
-#[allow(clippy::too_many_arguments)]
-pub fn run_shard(
-    mut market: Market,
-    mut profile: Profile,
-    active: Vec<bool>,
-    seq: u64,
+/// snapshot/restore/drain protocol. `shard` comes from [`Shard::boot`]
+/// over the same `view` and `ctx`.
+pub(crate) fn run_shard(
+    mut shard: Shard,
     rx: &Receiver<Command>,
     view: &SharedView,
     cfg: &MarketConfig,
     ctx: &ShardCtx,
 ) -> MarketOutcome {
-    let mut book = Book::new(active, seq, market.cloudlet_count());
-    // Commands that mutate the market itself finish after the rebuild.
-    let mut pending: Option<Pending> = None;
-    // The unapplied remainder of a batch interrupted by a rebuild.
-    let mut carry: VecDeque<Command> = VecDeque::new();
     let mut batch: Vec<Command> = Vec::new();
     // Replies settled in the current batch, flushed only after the
-    // covering view is published.
+    // covering view is published: a client that sees the reply must be
+    // able to read its own write from the view (`query`/`stats` never
+    // round-trip through this thread).
     let mut acks: Vec<(Reply, Response)> = Vec::new();
-
-    'rebuild: loop {
-        let mut state = GameState::new(&market, profile.clone());
-        // Publish before acknowledging: a client that sees the reply must
-        // be able to read its own write from the view (`query`/`stats`
-        // never round-trip through this thread).
-        let mut settled: Option<(Response, Reply)> = None;
-        let mut restored_op: Option<Arc<CoordOp>> = None;
-        match pending.take() {
-            None => {}
-            Some(Pending::Update(l, reply)) => {
-                settled = Some((settle_update(&mut state, &mut book, l), reply));
+    while !shard.book.draining {
+        drain_outbound(&mut shard.book, ctx);
+        // Wait only at equilibrium; otherwise peek nonblockingly and spend
+        // empty gaps on maintenance quanta. The writer never blocks
+        // forever: peers hold its sender, so disconnection cannot signal
+        // teardown — it wakes on an idle tick to rebalance and to notice
+        // the I/O side died.
+        let timeout = if shard.book.equilibrium {
+            IDLE_TICK
+        } else {
+            Duration::ZERO
+        };
+        match rx.recv_batch(&mut batch, cfg.batch_max, Some(timeout)) {
+            Ok((taken, depth)) => {
+                mec_obs::record("serve.drain.batch", taken as u64);
+                mec_obs::record("serve.drain.depth", depth as u64);
+                mec_obs::gauge("serve.queue.depth", shard.book.seq, depth as f64);
+                ctx.gauges.set_depth(ctx.index, depth);
             }
-            Some(Pending::Forward {
-                provider,
-                cloudlet,
-                hop,
-                reply,
-            }) => {
-                if let Some((reply, resp)) =
-                    handle_join(&mut state, &mut book, ctx, provider, cloudlet, hop, reply)
-                {
-                    settled = Some((resp, reply));
-                }
-            }
-            Some(Pending::Commit { provider, cloudlet }) => {
-                place_commit(&mut state, &mut book, ctx, provider, cloudlet);
-            }
-            Some(Pending::CoordRestore(op)) => {
-                op.fold_seq(book.seq);
-                restored_op = Some(op);
-            }
-        }
-        publish_timed(view, &state, &book, ctx);
-        if let Some((resp, reply)) = settled {
-            reply.send(resp);
-        }
-        if let Some(op) = restored_op {
-            complete_apply(&op, cfg);
-        }
-
-        loop {
-            drain_outbound(&mut book, ctx);
-            if carry.is_empty() {
-                // Wait only at equilibrium; otherwise peek nonblockingly
-                // and spend empty gaps on maintenance quanta. The writer
-                // never blocks forever: peers hold its sender, so
-                // disconnection cannot signal teardown — it wakes on an
-                // idle tick to rebalance and to notice the I/O side died.
-                let timeout = if book.equilibrium {
-                    IDLE_TICK
+            Err(RecvTimeout::Timeout) => {
+                let Shard { state, book } = &mut shard;
+                if !book.equilibrium {
+                    run_quantum(state, book, ctx, cfg.epoch_moves);
+                    publish_timed(view, state, book, ctx);
                 } else {
-                    Duration::ZERO
-                };
-                match rx.recv_batch(&mut batch, cfg.batch_max, Some(timeout)) {
-                    Ok((taken, depth)) => {
-                        mec_obs::record("serve.drain.batch", taken as u64);
-                        mec_obs::record("serve.drain.depth", depth as u64);
-                        mec_obs::gauge("serve.queue.depth", book.seq, depth as f64);
-                        ctx.gauges.set_depth(ctx.index, depth);
-                        carry.extend(batch.drain(..));
-                    }
-                    Err(RecvTimeout::Timeout) => {
-                        if !book.equilibrium {
-                            run_quantum(&mut state, &mut book, ctx, cfg.epoch_moves);
-                            publish_timed(view, &state, &book, ctx);
-                        } else {
-                            maybe_rebalance(&state, &mut book, ctx);
-                        }
-                        if ctx.io_gone() {
-                            return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
-                        }
-                        continue;
-                    }
-                    // Every sender is gone: the driver is tearing down
-                    // without a drain command.
-                    Err(RecvTimeout::Disconnected) => {
-                        return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
-                    }
+                    maybe_rebalance(state, book, ctx);
                 }
-            }
-            // One pass over the batch; one publish; acks after.
-            while let Some(cmd) = carry.pop_front() {
-                match cmd {
-                    Command::Join {
-                        provider,
-                        cloudlet,
-                        reply,
-                    } => {
-                        if misrouted(ctx, provider) {
-                            chase_owner(
-                                &mut book,
-                                ctx,
-                                provider,
-                                Command::Join {
-                                    provider,
-                                    cloudlet,
-                                    reply,
-                                },
-                            );
-                        } else if let Some((reply, resp)) =
-                            handle_join(&mut state, &mut book, ctx, provider, cloudlet, 0, reply)
-                        {
-                            ctx.gauges.add_writes(ctx.index, 1);
-                            acks.push((reply, resp));
-                        }
-                    }
-                    Command::Leave { provider, reply } => {
-                        if misrouted(ctx, provider) {
-                            chase_owner(
-                                &mut book,
-                                ctx,
-                                provider,
-                                Command::Leave { provider, reply },
-                            );
-                        } else {
-                            let resp = handle_leave(&mut state, &mut book, provider);
-                            ctx.gauges.add_writes(ctx.index, 1);
-                            acks.push((reply, resp));
-                        }
-                    }
-                    Command::JoinForward {
-                        provider,
-                        cloudlet,
-                        compute,
-                        bandwidth,
-                        hop,
-                        reply,
-                    } => {
-                        if provider >= state.len() {
-                            acks.push((reply, unknown_provider(provider)));
-                        } else if demands_differ(&state, provider, compute, bandwidth) {
-                            // Sync the authoritative demands before
-                            // settling the join — rebuild dance.
-                            publish_timed(view, &state, &book, ctx);
-                            flush_acks(&mut acks);
-                            profile = state.into_profile();
-                            market.set_provider_demand(ProviderId(provider), compute, bandwidth);
-                            book.seq += 1;
-                            book.equilibrium = false;
-                            pending = Some(Pending::Forward {
-                                provider,
-                                cloudlet,
-                                hop,
-                                reply,
-                            });
-                            continue 'rebuild;
-                        } else if let Some((reply, resp)) =
-                            handle_join(&mut state, &mut book, ctx, provider, cloudlet, hop, reply)
-                        {
-                            ctx.gauges.add_writes(ctx.index, 1);
-                            acks.push((reply, resp));
-                        }
-                    }
-                    Command::MigrateReserve {
-                        provider,
-                        cloudlet,
-                        compute,
-                        bandwidth,
-                        from,
-                    } => {
-                        // Authoritative Eq. 4–5 admission on the target's
-                        // own thread; never granted while a coordinated
-                        // snapshot is between prepare and apply (a commit
-                        // admitted then could land behind the apply and
-                        // vanish from every slice).
-                        let granted = !book.paused
-                            && provider < state.len()
-                            && ctx.owns_cloudlet(cloudlet)
-                            && !book.active[provider]
-                            && {
-                                let (a, b) = free_at(&state, &book, CloudletId(cloudlet));
-                                compute <= a + CAP_SLACK && bandwidth <= b + CAP_SLACK
-                            };
-                        if granted {
-                            book.reserve(Reservation {
-                                provider,
-                                cloudlet,
-                                compute,
-                                bandwidth,
-                            });
-                        }
-                        send_peer(
-                            &mut book,
-                            ctx,
-                            from,
-                            Command::MigrateGrant { provider, granted },
-                        );
-                    }
-                    Command::MigrateGrant { provider, granted } => {
-                        handle_grant(&mut state, &mut book, ctx, provider, granted);
-                    }
-                    Command::MigrateCommit {
-                        provider,
-                        cloudlet,
-                        compute,
-                        bandwidth,
-                    } => {
-                        book.release(provider);
-                        if let Some(ix) = book.tombstones.iter().position(|p| *p == provider) {
-                            // The client left while the handoff was in
-                            // flight; we own an inactive remote provider.
-                            book.tombstones.swap_remove(ix);
-                        } else if provider < state.len() && !book.active[provider] {
-                            if demands_differ(&state, provider, compute, bandwidth) {
-                                publish_timed(view, &state, &book, ctx);
-                                flush_acks(&mut acks);
-                                profile = state.into_profile();
-                                market.set_provider_demand(
-                                    ProviderId(provider),
-                                    compute,
-                                    bandwidth,
-                                );
-                                pending = Some(Pending::Commit { provider, cloudlet });
-                                continue 'rebuild;
-                            }
-                            place_commit(&mut state, &mut book, ctx, provider, cloudlet);
-                            ctx.gauges.add_writes(ctx.index, 1);
-                        }
-                    }
-                    Command::MigrateAbort { provider } => {
-                        book.release(provider);
-                        book.tombstones.retain(|p| *p != provider);
-                    }
-                    Command::Prepare { op } => {
-                        book.paused = true;
-                        if book.outgoing.is_some() {
-                            // Ack only once the in-flight handoff has sent
-                            // commit or abort — that FIFO-orders any commit
-                            // ahead of the apply fan-out on the target.
-                            book.parked_preps.push(op);
-                        } else {
-                            complete_prepare(&mut book, ctx, &op);
-                        }
-                    }
-                    Command::Apply { op } => match op.kind {
-                        CoordKind::Snapshot => {
-                            let wrote = snapshot_base(cfg).and_then(|base| {
-                                write_shard_slice(&state, &book, ctx, base, op.epoch)
-                            });
-                            if let Err(msg) = wrote {
-                                op.push_error(msg);
-                            }
-                            op.fold_seq(book.seq);
-                            book.paused = false;
-                            complete_apply(&op, cfg);
-                        }
-                        CoordKind::Restore => {
-                            book.paused = false;
-                            match load_my_slice(cfg, ctx) {
-                                Ok(snap) => {
-                                    publish_timed(view, &state, &book, ctx);
-                                    flush_acks(&mut acks);
-                                    drop(state.into_profile());
-                                    market = snap.market;
-                                    profile = snap.profile;
-                                    book.active = snap.active;
-                                    book.seq = snap.seq;
-                                    book.equilibrium = false;
-                                    book.cursor = 0;
-                                    book.clear_reserved(market.cloudlet_count());
-                                    book.tombstones.clear();
-                                    if let Some(meta) = &snap.shard {
-                                        for (p, owned) in meta.owned.iter().enumerate() {
-                                            if *owned {
-                                                ctx.router.set_owner(p, ctx.index);
-                                            }
-                                        }
-                                    }
-                                    pending = Some(Pending::CoordRestore(op));
-                                    continue 'rebuild;
-                                }
-                                Err(msg) => {
-                                    op.push_error(msg);
-                                    complete_apply(&op, cfg);
-                                }
-                            }
-                        }
-                    },
-                    Command::DrainAll { op } => {
-                        publish_timed(view, &state, &book, ctx);
-                        flush_acks(&mut acks);
-                        if op.ack() {
-                            if let Some(reply) = op.take_reply() {
-                                reply.send(Response::Draining);
-                            }
-                        }
-                        return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
-                    }
-                    Command::Update {
-                        provider,
-                        compute,
-                        bandwidth,
-                        reply,
-                    } => {
-                        if misrouted(ctx, provider) {
-                            chase_owner(
-                                &mut book,
-                                ctx,
-                                provider,
-                                Command::Update {
-                                    provider,
-                                    compute,
-                                    bandwidth,
-                                    reply,
-                                },
-                            );
-                            continue;
-                        }
-                        ctx.gauges.add_writes(ctx.index, 1);
-                        let bad = [compute, bandwidth]
-                            .iter()
-                            .any(|v| !v.is_finite() || *v < 0.0);
-                        if provider >= state.len() {
-                            acks.push((reply, unknown_provider(provider)));
-                        } else if bad {
-                            acks.push((
-                                reply,
-                                Response::Error {
-                                    msg: format!(
-                                        "demands must be finite and non-negative, \
-                                         got ({compute}, {bandwidth})"
-                                    ),
-                                },
-                            ));
-                        } else {
-                            // The state borrows the market: publish and
-                            // acknowledge the batch prefix, then release,
-                            // mutate, and rebuild. The remainder stays in
-                            // `carry` for the rebuilt state; this reply
-                            // waits for the rebuild so it can report the
-                            // post-update cost.
-                            publish_timed(view, &state, &book, ctx);
-                            flush_acks(&mut acks);
-                            let l = ProviderId(provider);
-                            profile = state.into_profile();
-                            market.set_provider_demand(l, compute, bandwidth);
-                            book.seq += 1;
-                            book.equilibrium = false;
-                            pending = Some(Pending::Update(l, reply));
-                            continue 'rebuild;
-                        }
-                    }
-                    Command::Shutdown { reply } => {
-                        // Settle the batch prefix, announce the drain, and
-                        // drain with the full protocol so in-flight
-                        // migrations still resolve.
-                        publish_timed(view, &state, &book, ctx);
-                        flush_acks(&mut acks);
-                        reply.send(Response::Draining);
-                        return drain_and_finish(state, book, cfg, ctx, rx, &mut carry);
-                    }
+                if ctx.io_gone() {
+                    book.begin_drain(ctx);
                 }
+                continue;
             }
-            publish_timed(view, &state, &book, ctx);
-            flush_acks(&mut acks);
+            // Every sender is gone: the driver is tearing down without a
+            // drain command.
+            Err(RecvTimeout::Disconnected) => {
+                shard.book.begin_drain(ctx);
+                continue;
+            }
         }
+        // One pass over the batch; one publish; acks after.
+        for cmd in batch.drain(..) {
+            shard.step(cmd, ctx, cfg, &mut acks);
+        }
+        publish_timed(view, &shard.state, &shard.book, ctx);
+        flush_acks(&mut acks);
     }
+    drain_and_finish(shard, cfg, ctx, rx)
 }
 
 fn flush_acks(acks: &mut Vec<(Reply, Response)>) {
@@ -984,34 +900,12 @@ fn unknown_provider(provider: usize) -> Response {
     }
 }
 
-/// Bit-exact demand drift check against the shard's local market copy.
-fn demands_differ(state: &GameState<'_>, provider: usize, compute: f64, bandwidth: f64) -> bool {
-    let spec = state.market().provider(ProviderId(provider));
-    spec.compute_demand.to_bits() != compute.to_bits()
-        || spec.bandwidth_demand.to_bits() != bandwidth.to_bits()
-}
-
 /// Residual capacity at `i` net of migration reservations — the free
 /// space admission and best responses are allowed to see.
 fn free_at(state: &GameState<'_>, book: &Book, i: CloudletId) -> (f64, f64) {
     let (a, b) = state.residual(i);
     let (ha, hb) = book.held[i.index()];
     (a - ha, b - hb)
-}
-
-/// `true` if this shard no longer owns `provider` (the router moved it
-/// after the I/O thread picked a queue).
-fn misrouted(ctx: &ShardCtx, provider: usize) -> bool {
-    ctx.router.owner(provider) != ctx.index
-}
-
-/// Re-routes a misrouted command to the current owner. The chase
-/// converges because ownership only changes when the new owner actually
-/// processes work for the provider.
-fn chase_owner(book: &mut Book, ctx: &ShardCtx, provider: usize, cmd: Command) {
-    mec_obs::counter_add("serve.shard.route", 1);
-    let owner = ctx.router.owner(provider);
-    send_peer(book, ctx, owner, cmd);
 }
 
 /// Enqueues a cross-shard command, never blocking: anything that does not
@@ -1074,7 +968,8 @@ fn forward_join(
 
 /// Settles the target's answer to this shard's outgoing reservation: on a
 /// usable grant, release the provider locally, transfer ownership, and
-/// commit on the target; otherwise abort any reserved capacity.
+/// commit on the target; otherwise (a draining shard included) abort any
+/// reserved capacity.
 fn handle_grant(
     state: &mut GameState<'_>,
     book: &mut Book,
@@ -1089,7 +984,7 @@ fn handle_grant(
         book.outgoing = Some(out);
         return;
     }
-    let usable = !out.cancelled
+    let usable = !book.draining
         && book.active.get(provider).copied().unwrap_or(false)
         && ctx.router.owner(provider) == ctx.index;
     if granted && usable {
@@ -1120,33 +1015,6 @@ fn handle_grant(
     resolve_parked(book, ctx);
 }
 
-/// Activates a committed provider on the receiving shard. Capacity was
-/// reserved at grant time, but demands may have moved underneath the
-/// reservation — re-check and fall back to remote (still active; the
-/// maintenance quanta re-place it when capacity frees up).
-fn place_commit(
-    state: &mut GameState<'_>,
-    book: &mut Book,
-    ctx: &ShardCtx,
-    provider: usize,
-    cloudlet: usize,
-) {
-    let l = ProviderId(provider);
-    let market = state.market();
-    let placement = if cloudlet < market.cloudlet_count()
-        && ctx.owns_cloudlet(cloudlet)
-        && market.fits(l, free_at(state, book, CloudletId(cloudlet)))
-    {
-        Placement::Cloudlet(CloudletId(cloudlet))
-    } else {
-        Placement::Remote
-    };
-    state.apply_move(l, placement);
-    book.active[provider] = true;
-    book.seq += 1;
-    book.equilibrium = false;
-}
-
 /// Acks a prepare; the last shard to ack fans the apply out to everyone
 /// (through its outbound, so per-target FIFO holds).
 fn complete_prepare(book: &mut Book, ctx: &ShardCtx, op: &Arc<CoordOp>) {
@@ -1167,16 +1035,17 @@ fn resolve_parked(book: &mut Book, ctx: &ShardCtx) {
     }
 }
 
-/// Acks an apply; the last shard answers the client with the op's folded
-/// seq (the newest state any shard wrote or restored) — and, for a clean
-/// snapshot, writes the manifest first (manifest last on disk, so a crash
-/// leaves either the previous complete set or the new one).
-fn complete_apply(op: &Arc<CoordOp>, cfg: &MarketConfig) {
+/// Acks an apply; the last shard returns the client's answer, carrying
+/// the op's folded seq (the newest state any shard wrote or restored) —
+/// and, for a clean snapshot, writes the manifest first (manifest last on
+/// disk, so a crash leaves either the previous complete set or the new
+/// one).
+fn complete_apply(op: &Arc<CoordOp>, cfg: &MarketConfig) -> Option<(Reply, Response)> {
     if !op.ack_apply() {
-        return;
+        return None;
     }
     let errors = op.take_errors();
-    let Some(reply) = op.take_reply() else { return };
+    let reply = op.take_reply()?;
     let done = if !errors.is_empty() {
         Err(errors.join("; "))
     } else {
@@ -1191,11 +1060,12 @@ fn complete_apply(op: &Arc<CoordOp>, cfg: &MarketConfig) {
             CoordKind::Restore => Ok(()),
         }
     };
-    reply.send(match (done, op.kind) {
+    let resp = match (done, op.kind) {
         (Err(msg), _) => Response::Error { msg },
         (Ok(()), CoordKind::Snapshot) => Response::Snapshotted { seq: op.seq() },
         (Ok(()), CoordKind::Restore) => Response::Restored { seq: op.seq() },
-    });
+    };
+    Some((reply, resp))
 }
 
 /// The configured snapshot base path, or the error a snapshot or restore
@@ -1321,7 +1191,6 @@ fn maybe_rebalance(state: &GameState<'_>, book: &mut Book, ctx: &ShardCtx) {
         provider,
         target,
         cloudlet,
-        cancelled: false,
     });
     mec_obs::record("serve.shard.rebalance.moves", 1);
     send_peer(
@@ -1471,10 +1340,31 @@ fn handle_leave(state: &mut GameState<'_>, book: &mut Book, provider: usize) -> 
     Response::Left
 }
 
-/// Post-rebuild half of `update`: if the new demand no longer fits the
-/// provider's current cloudlet, evict to the remote cloud (still active —
+/// `update`: replace the provider's demands in place; if the new demand
+/// no longer fits its cloudlet, evict to the remote cloud (still active —
 /// maintenance quanta will re-place it when capacity frees up).
-fn settle_update(state: &mut GameState<'_>, book: &mut Book, l: ProviderId) -> Response {
+fn handle_update(
+    state: &mut GameState<'_>,
+    book: &mut Book,
+    provider: usize,
+    compute: f64,
+    bandwidth: f64,
+) -> Response {
+    if provider >= state.len() {
+        return unknown_provider(provider);
+    }
+    if [compute, bandwidth]
+        .iter()
+        .any(|v| !v.is_finite() || *v < 0.0)
+    {
+        return Response::Error {
+            msg: format!("demands must be finite and non-negative, got ({compute}, {bandwidth})"),
+        };
+    }
+    let l = ProviderId(provider);
+    state.set_demand(l, compute, bandwidth);
+    book.seq += 1;
+    book.equilibrium = false;
     let mut evicted = false;
     if let Placement::Cloudlet(i) = state.placement(l) {
         let (a, b) = state.residual(i);
@@ -1624,30 +1514,10 @@ fn publish_timed(view: &SharedView, state: &GameState<'_>, book: &Book, ctx: &Sh
     }
 }
 
-/// Builds the wire stats record from a published view.
-pub fn stats_of(view: &MarketView) -> StatsReport {
-    StatsReport {
-        seq: view.seq,
-        providers: view.placements.len(),
-        active: view.active_count(),
-        cached: view.cached_count(),
-        social_cost: view.social_cost,
-        epochs: view.epochs,
-        moves: view.moves,
-        equilibrium: view.equilibrium,
-        shards: Vec::new(),
-    }
-}
-
 /// Folds every shard's published view (plus the shared gauges) into one
-/// daemon-wide stats record: totals summed, equilibrium ANDed, and a
-/// per-shard breakdown appended. With one shard this is exactly
-/// [`stats_of`] — the wire encoding stays byte-identical to the
-/// pre-sharding protocol.
+/// daemon-wide stats record: totals summed, equilibrium ANDed, and one
+/// per-shard row appended per shard, at every shard count.
 pub fn composite_stats(views: &[Arc<SharedView>], gauges: &ShardGauges) -> StatsReport {
-    if views.len() == 1 {
-        return stats_of(&views[0].load());
-    }
     let mut st = StatsReport {
         seq: 0,
         providers: 0,
@@ -1719,127 +1589,57 @@ pub(crate) fn refuse(cmd: Command) {
     }
 }
 
-/// Coordinated drain of one shard: announce quiesce (or cancel the
-/// in-flight outgoing handoff first), keep servicing migration traffic
-/// until every shard has quiesced, then finish independently.
+/// Coordinated drain of one shard already in drain mode: keep settling
+/// migration traffic until every shard has quiesced, then run maintenance
+/// quanta until the active players reach equilibrium, write this shard's
+/// slice of the drain-epoch snapshot set (the last shard to finish writes
+/// the manifest), and (with the `verify` feature) re-certify the
+/// placement from first principles.
 fn drain_and_finish(
-    mut state: GameState<'_>,
-    mut book: Book,
+    mut shard: Shard,
     cfg: &MarketConfig,
     ctx: &ShardCtx,
     rx: &Receiver<Command>,
-    carry: &mut VecDeque<Command>,
 ) -> MarketOutcome {
-    // Quiesce: this shard originates no further migrations. An in-flight
-    // outgoing handoff must resolve first (the pending grant is answered
-    // with an abort), so commits are never stranded.
-    if let Some(out) = book.outgoing.as_mut() {
-        out.cancelled = true;
-    } else {
-        ctx.coord.arrive_quiesced();
-    }
-    // Coordinated snapshots parked behind the handoff fail with the drain
-    // error — their barriers still complete so no client is stranded.
-    for op in std::mem::take(&mut book.parked_preps) {
-        op.push_error("daemon is draining".to_string());
-        complete_prepare(&mut book, ctx, &op);
-    }
-    // Whatever was already batched rides through the drain handler so
-    // in-flight commits still land.
-    while let Some(cmd) = carry.pop_front() {
-        drain_cmd(&mut state, &mut book, ctx, cmd);
-    }
-    // Linger until every shard has quiesced, servicing migration traffic
-    // (reservation requests are refused, commits/aborts applied). The
+    // A draining shard refuses client work outright, so no reply settled
+    // here waits on a view.
+    let mut acks = Vec::new();
+    // Linger until every shard has quiesced, settling migration traffic
+    // (reservation requests are refused, commits/aborts applied). This
+    // shard arrives at the quiesce barrier once its own outgoing handoff
+    // has resolved, and only after every reply it settled has gone out:
+    // past the barrier a peer may finish and stop the I/O threads. The
     // deadline is a backstop against a wedged peer.
     let deadline = Instant::now() + DRAIN_LINGER_MAX;
+    let mut quiesced = false;
     loop {
-        drain_outbound(&mut book, ctx);
-        if book.outgoing.is_none() && ctx.coord.all_quiesced() {
-            break;
+        drain_outbound(&mut shard.book, ctx);
+        if !quiesced && shard.book.outgoing.is_none() {
+            ctx.coord.arrive_quiesced();
+            quiesced = true;
         }
-        if Instant::now() >= deadline {
+        if (quiesced && ctx.coord.all_quiesced()) || Instant::now() >= deadline {
             break;
         }
         match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(cmd) => drain_cmd(&mut state, &mut book, ctx, cmd),
+            Ok(cmd) => shard.step(cmd, ctx, cfg, &mut acks),
             Err(RecvTimeout::Timeout) => {}
             Err(RecvTimeout::Disconnected) => break,
         }
+        flush_acks(&mut acks);
     }
-    drain_outbound(&mut book, ctx);
+    drain_outbound(&mut shard.book, ctx);
     for cmd in rx.try_drain() {
-        drain_cmd(&mut state, &mut book, ctx, cmd);
+        shard.step(cmd, ctx, cfg, &mut acks);
     }
+    flush_acks(&mut acks);
+    let Shard {
+        mut state,
+        mut book,
+    } = shard;
     // Any reservation left now belongs to a handoff that died with its
     // source; drop them so the final equilibrium is unconstrained.
     book.clear_reserved(state.market().cloudlet_count());
-    finish(state, book, cfg, ctx)
-}
-
-/// Command handling during a drain: client traffic is refused, migration
-/// traffic is settled so no provider is lost mid-handoff.
-fn drain_cmd(state: &mut GameState<'_>, book: &mut Book, ctx: &ShardCtx, cmd: Command) {
-    match cmd {
-        Command::MigrateReserve { provider, from, .. } => {
-            send_peer(
-                book,
-                ctx,
-                from,
-                Command::MigrateGrant {
-                    provider,
-                    granted: false,
-                },
-            );
-        }
-        Command::MigrateGrant { provider, granted } => {
-            let resolved = book
-                .outgoing
-                .as_ref()
-                .is_some_and(|out| out.provider == provider);
-            if resolved {
-                // `resolved` just witnessed `outgoing` is Some for this
-                // provider; nothing between the check and the take.
-                // lint: allow(panics)
-                let out = book.outgoing.take().expect("outgoing checked above");
-                if granted {
-                    send_peer(book, ctx, out.target, Command::MigrateAbort { provider });
-                }
-                ctx.coord.arrive_quiesced();
-            }
-        }
-        Command::MigrateCommit {
-            provider, cloudlet, ..
-        } => {
-            // Demand drift cannot rebuild mid-drain; the local demands are
-            // used for the capacity re-check and the final slice, which
-            // keeps the certificates self-consistent.
-            book.release(provider);
-            if let Some(ix) = book.tombstones.iter().position(|p| *p == provider) {
-                book.tombstones.swap_remove(ix);
-            } else if provider < state.len() && !book.active[provider] {
-                place_commit(state, book, ctx, provider, cloudlet);
-            }
-        }
-        Command::MigrateAbort { provider } => {
-            book.release(provider);
-            book.tombstones.retain(|p| *p != provider);
-        }
-        other => refuse(other),
-    }
-}
-
-/// Drain: run maintenance quanta until the active players reach
-/// equilibrium, write this shard's slice of the drain-epoch snapshot set
-/// (the last shard to finish writes the manifest), and
-/// (with the `verify` feature) re-certify the placement from first
-/// principles.
-fn finish(
-    mut state: GameState<'_>,
-    mut book: Book,
-    cfg: &MarketConfig,
-    ctx: &ShardCtx,
-) -> MarketOutcome {
     // Equilibrium is guaranteed to be reached: best-response dynamics on
     // the exact-potential game terminate (Lemma 3). The cap is a backstop
     // against a cost-model bug turning the drain into a hot loop.
@@ -2014,17 +1814,14 @@ mod tests {
         drop(tx);
         let view = SharedView::new(MarketView::empty(n));
         let cfg = MarketConfig::default();
-        let outcome = run_shard(
-            market,
-            Profile::all_remote(n),
-            vec![false; n],
-            0,
-            &rx,
-            &view,
-            &cfg,
-            ctx,
-        );
+        let outcome = run_shard(fresh(market, &view, ctx), &rx, &view, &cfg, ctx);
         (sd_rx.recv(), outcome)
+    }
+
+    /// A shard booted with every provider remote and inactive.
+    fn fresh(market: Market, view: &SharedView, ctx: &ShardCtx) -> Shard {
+        let n = market.provider_count();
+        Shard::boot(market, Profile::all_remote(n), vec![false; n], 0, view, ctx)
     }
 
     fn join(provider: usize) -> (Command, chan::OneReceiver<Response>) {
@@ -2037,6 +1834,17 @@ mod tests {
             },
             rx,
         )
+    }
+
+    /// A demand update whose reply nobody reads.
+    fn update(provider: usize, compute: f64, bandwidth: f64) -> Command {
+        let reply = chan::oneshot().0.into();
+        Command::Update {
+            provider,
+            compute,
+            bandwidth,
+            reply,
+        }
     }
 
     #[test]
@@ -2096,14 +1904,7 @@ mod tests {
             // Grow past capacity (each eviction), then shrink to a size
             // where one — and only one — fits the cloudlet again.
             for &(compute, bandwidth) in &[(5.0, 8.0), (3.0, 8.0)] {
-                for p in 0..2 {
-                    cmds.push(Command::Update {
-                        provider: p,
-                        compute,
-                        bandwidth,
-                        reply: chan::oneshot().0.into(),
-                    });
-                }
+                cmds.extend((0..2).map(|p| update(p, compute, bandwidth)));
             }
             let (draining, outcome) = drive_with(market, cmds, &ctx);
             assert_eq!(draining, Some(Response::Draining));
@@ -2197,7 +1998,9 @@ mod tests {
 
     #[test]
     fn update_evicts_when_demand_outgrows_cloudlet() {
-        let market = tiny_market(1);
+        // One batch: join → update → join → leave, each settled in order
+        // against the one state the update changed in place.
+        let market = tiny_market(2);
         let (j, jr) = join(0);
         let (u_tx, u_rx) = chan::oneshot();
         let grow = Command::Update {
@@ -2206,14 +2009,22 @@ mod tests {
             bandwidth: 8.0,
             reply: u_tx.into(),
         };
-        let (_, outcome) = drive(market, vec![j, grow]);
+        let (j1, r1) = join(1);
+        let (l_tx, l_rx) = chan::oneshot();
+        let leave = Command::Leave {
+            provider: 1,
+            reply: l_tx.into(),
+        };
+        let (_, outcome) = drive(market, vec![j, grow, j1, leave]);
         assert!(matches!(jr.recv(), Some(Response::Admitted { .. })));
         match u_rx.recv() {
             Some(Response::Updated { evicted, .. }) => assert!(evicted),
             other => panic!("expected Updated, got {other:?}"),
         }
+        assert!(matches!(r1.recv(), Some(Response::Admitted { .. })));
+        assert_eq!(l_rx.recv(), Some(Response::Left));
         // Still active, parked remotely; no cloudlet fits 100 compute.
-        assert!(outcome.active[0]);
+        assert!(outcome.active[0] && !outcome.active[1]);
         assert_eq!(outcome.profile.placement(ProviderId(0)), Placement::Remote);
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     }
@@ -2244,36 +2055,119 @@ mod tests {
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     }
 
+    /// A provider's demands as a shard's market copy holds them.
+    fn demands_at(shard: &Shard, provider: usize) -> (f64, f64) {
+        let spec = shard.state.market().provider(ProviderId(provider));
+        (spec.compute_demand, spec.bandwidth_demand)
+    }
+
+    /// A migration commit handled in drain mode places the provider with
+    /// the demands the commit carries (the source's, which are
+    /// authoritative), not with this shard's stale copy.
     #[test]
-    fn mid_batch_rebuild_carries_the_remainder() {
-        // A batch of join → update (forces a rebuild) → join → leave must
-        // settle every command against the right state: the second join
-        // and the leave ride across the `'rebuild` in the carry queue.
-        let market = tiny_market(3);
-        let (j0, r0) = join(0);
-        let (u_tx, u_rx) = chan::oneshot();
-        let update = Command::Update {
-            provider: 0,
-            compute: 1.0,
-            bandwidth: 4.0,
-            reply: u_tx.into(),
+    fn drain_mode_commit_adopts_the_commit_demands() {
+        let (ctx, cfg) = (ShardCtx::solo(2, 2), MarketConfig::default());
+        let view = SharedView::new(MarketView::empty(2));
+        let mut shard = fresh(tiny_market(2), &view, &ctx);
+        let reply = chan::oneshot().0.into();
+        shard.step(Command::Shutdown { reply }, &ctx, &cfg, &mut Vec::new());
+        // Past the quiesce barrier a peer may finish and stop the I/O
+        // threads, so a shard arrives there only once its replies are out.
+        assert!(!ctx.coord.all_quiesced());
+        let (compute, bandwidth) = (1.5, 6.0);
+        let commit = Command::MigrateCommit {
+            provider: 1,
+            cloudlet: 0,
+            compute,
+            bandwidth,
         };
-        let (j1, r1) = join(1);
-        let (l_tx, l_rx) = chan::oneshot();
-        let leave = Command::Leave {
-            provider: 0,
-            reply: l_tx.into(),
+        shard.step(commit, &ctx, &cfg, &mut Vec::new());
+        assert!(shard.book.draining && shard.book.active[1]);
+        assert_eq!(demands_at(&shard, 1), (compute, bandwidth));
+        assert_eq!(shard.state.load(CloudletId(0)), (compute, bandwidth));
+    }
+
+    /// Two shards stepped by hand, peer messages shuttled in a fixed
+    /// order: a reserve→grant→commit handoff, a leave that overtakes its
+    /// commit (tombstone), and a commit that lands while the target
+    /// drains. No provider is lost or doubled, and the owning shard holds
+    /// each provider's latest demands.
+    #[test]
+    fn two_shard_handoffs_keep_providers_and_demands() {
+        // Cloudlet 0 (shard 0) is dear, cloudlet 1 (shard 1) cheap, so
+        // shard 0's rebalance hands its providers to shard 1. Providers
+        // home to shard `p % 2`.
+        let mut b = Market::builder()
+            .cloudlet(CloudletSpec::new(4.0, 20.0, 1.0, 1.0))
+            .cloudlet(CloudletSpec::new(4.0, 20.0, 0.1, 0.1));
+        for _ in 0..6 {
+            b = b.provider(ProviderSpec::new(1.0, 4.0, 1.0, 30.0));
+        }
+        let market = b.uniform_update_cost(0.2).build();
+        let mut wiring = crate::server::Plumbing::new(6, vec![0, 1], 0, 64, 1);
+        let rxs = std::mem::take(&mut wiring.rxs);
+        let ctxs: Vec<_> = (0..2).map(|k| wiring.ctx(k)).collect();
+        let (views, cfg) = (&wiring.views, MarketConfig::default());
+        let mut shards: Vec<_> = (0..2)
+            .map(|k| fresh(market.clone(), &views[k], &ctxs[k]))
+            .collect();
+        // Steps `cmd` on shard `k`, then publishes and acks as a serving
+        // batch ends.
+        let step = |shards: &mut [Shard], k: usize, cmd: Command| {
+            let mut acks = Vec::new();
+            shards[k].step(cmd, &ctxs[k], &cfg, &mut acks);
+            publish(&views[k], &shards[k].state, &shards[k].book);
+            flush_acks(&mut acks);
         };
-        let (_, outcome) = drive(market, vec![j0, update, j1, leave]);
-        assert!(matches!(r0.recv(), Some(Response::Admitted { .. })));
-        assert!(matches!(
-            u_rx.recv(),
-            Some(Response::Updated { evicted: false, .. })
-        ));
-        assert!(matches!(r1.recv(), Some(Response::Admitted { .. })));
-        assert_eq!(l_rx.recv(), Some(Response::Left));
-        assert!(!outcome.active[0]);
-        assert!(outcome.active[1]);
-        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+        // Provider `p` joins shard 0 (at its only cloudlet), takes new
+        // demands there, and is handed to shard 1 (reserve → grant), its
+        // commit left queued at shard 1.
+        let handoff = |shards: &mut [Shard], p: usize, (compute, bandwidth): (f64, f64)| {
+            step(shards, 0, join(p).0);
+            step(shards, 0, update(p, compute, bandwidth));
+            let Shard { state, book } = &mut shards[0];
+            (0..REBALANCE_TICKS).for_each(|_| maybe_rebalance(state, book, &ctxs[0]));
+            for k in [1, 0] {
+                for cmd in rxs[k].try_drain() {
+                    step(shards, k, cmd);
+                }
+            }
+            assert_eq!(wiring.router.owner(p), 1, "provider {p} handed over");
+        };
+        let deliver_commit = |shards: &mut [Shard]| {
+            let queued = rxs[1].try_drain();
+            assert!(matches!(queued[..], [Command::MigrateCommit { .. }]));
+            queued.into_iter().for_each(|cmd| step(shards, 1, cmd));
+        };
+
+        handoff(&mut shards, 0, (2.0, 8.0));
+        deliver_commit(&mut shards);
+        let at_1 = Placement::Cloudlet(CloudletId(1));
+        assert_eq!(shards[1].state.placement(ProviderId(0)), at_1);
+        // The client's leave, routed to the new owner, overtakes the commit.
+        handoff(&mut shards, 2, (1.0, 4.0));
+        let (tx, rx) = chan::oneshot();
+        let reply = tx.into();
+        step(&mut shards, 1, Command::Leave { provider: 2, reply });
+        assert_eq!(rx.recv(), Some(Response::Left));
+        deliver_commit(&mut shards);
+        assert!(shards[1].book.tombstones.is_empty());
+        // The commit lands once shard 1 has begun to drain.
+        handoff(&mut shards, 4, (0.5, 2.0));
+        let op = Arc::new(DrainOp::new(2, chan::oneshot().0.into()));
+        step(&mut shards, 1, Command::DrainAll { op });
+        deliver_commit(&mut shards);
+        assert_eq!(shards[1].state.placement(ProviderId(4)), at_1);
+
+        // Exactly providers 0 and 4 are active, on shard 1 alone, which
+        // holds their latest demands.
+        for p in 0..6 {
+            let holders: Vec<usize> = (0..2).filter(|&k| shards[k].book.active[p]).collect();
+            let want = if p % 4 == 0 { vec![1] } else { vec![] };
+            assert_eq!(holders, want, "provider {p}");
+        }
+        assert_eq!(demands_at(&shards[1], 0), (2.0, 8.0));
+        assert_eq!(demands_at(&shards[1], 4), (0.5, 2.0));
+        assert!(shards.iter().all(|s| s.state.agrees_with_recompute(1e-9)));
     }
 }

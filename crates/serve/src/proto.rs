@@ -77,7 +77,7 @@ pub enum Request {
     Shutdown,
 }
 
-/// One shard's slice of the composite stats (sharded daemons only).
+/// One shard's slice of the composite stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStat {
     /// The shard's own state version.
@@ -107,8 +107,8 @@ pub struct StatsReport {
     pub moves: u64,
     /// `true` if the last full scan found no improving move.
     pub equilibrium: bool,
-    /// Per-shard breakdown (empty on a single-shard daemon, whose wire
-    /// encoding is then byte-identical to the pre-sharding protocol).
+    /// Per-shard breakdown, one row per shard at every shard count (empty
+    /// only when parsed from a peer that sends no per-shard fields).
     pub shards: Vec<ShardStat>,
 }
 
@@ -356,8 +356,8 @@ pub fn parse_response(payload: &str) -> Result<Response, ParseError> {
             seq: json::get_u64(&fields, "seq")?,
         }),
         "stats" => {
-            // Per-shard fields are optional: single-shard daemons (and
-            // every pre-sharding peer) omit them entirely.
+            // Per-shard fields are optional: pre-sharding peers omit
+            // them entirely.
             let mut shards = Vec::new();
             if let Ok(count) = json::get_usize(&fields, "shards") {
                 for k in 0..count {
@@ -684,8 +684,8 @@ mod tests {
     #[test]
     fn single_shard_stats_stay_wire_compatible() {
         // A stats payload without per-shard fields is exactly what the
-        // pre-sharding protocol emitted; it must parse to an empty shard
-        // list and re-encode byte-identically.
+        // pre-sharding protocol emitted; it must still parse, to an empty
+        // shard list, and re-encode byte-identically.
         let legacy = "{\"ok\":1,\"result\":\"stats\",\"seq\":1,\"providers\":2,\"active\":1,\
                       \"cached\":1,\"social_cost\":2.5,\"epochs\":3,\"moves\":4,\"equilibrium\":1}";
         let parsed = parse_response(legacy).unwrap();

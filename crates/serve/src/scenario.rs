@@ -3,7 +3,7 @@
 //! and the daemon's demand-driven re-caching.
 //!
 //! [`run_scenario`] boots one shard writer thread (the same
-//! [`crate::market::run_shard`] loop the daemon runs), then walks the
+//! `run_shard` loop the daemon runs), then walks the
 //! trace epoch by epoch:
 //!
 //! 1. every request in the epoch is noted into the shared
@@ -32,7 +32,7 @@ use mec_scenario::Trace;
 
 use crate::chan::{self, Sender};
 use crate::demand::DemandTracker;
-use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Reply, ShardCtx};
+use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Reply, Shard, ShardCtx};
 use crate::proto::Response;
 use crate::view::{MarketView, SharedView};
 
@@ -134,20 +134,19 @@ pub fn run_scenario(market: Market, trace: &Trace, cfg: &ScenarioConfig) -> Scen
         batch_max: cfg.batch_max,
         snapshot_path: None,
     };
+    let shard = Shard::boot(
+        market,
+        Profile::all_remote(n),
+        vec![false; n],
+        0,
+        &view,
+        &ctx,
+    );
     let view_w = view.clone();
     // The writer under test; joined at the end of the replay.
     // lint: allow(thread-spawn)
     let writer = std::thread::spawn(move || -> MarketOutcome {
-        run_shard(
-            market,
-            Profile::all_remote(n),
-            vec![false; n],
-            0,
-            &rx,
-            &view_w,
-            &market_cfg,
-            &ctx,
-        )
+        run_shard(shard, &rx, &view_w, &market_cfg, &ctx)
     });
 
     let mut report = ScenarioReport {

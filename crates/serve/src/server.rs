@@ -40,7 +40,7 @@ use mec_core::{load_snapshot, MarketSnapshot, Placement, Profile, ProviderId};
 use crate::chan::{self, Receiver, Sender};
 use crate::demand::DemandTracker;
 use crate::eventloop::{run_io, Completions, IoShared};
-use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, ShardCtx};
+use crate::market::{run_shard, Command, MarketConfig, MarketOutcome, Shard, ShardCtx};
 use crate::proto::{self, Response};
 use crate::shard::{
     contiguous_regions, parse_manifest, shard_snapshot_path, Coordinator, Router, ShardGauges,
@@ -372,7 +372,9 @@ pub(crate) struct Plumbing {
     pub(crate) txs: Vec<Sender<Command>>,
     /// Live producers; the writers self-drain once it reaches zero.
     pub(crate) io_live: Arc<AtomicUsize>,
-    rxs: Vec<Receiver<Command>>,
+    /// Command receiver of every shard, until [`Plumbing::spawn`] moves
+    /// them into the writers.
+    pub(crate) rxs: Vec<Receiver<Command>>,
 }
 
 impl Plumbing {
@@ -404,12 +406,30 @@ impl Plumbing {
         }
     }
 
+    /// Shard `k`'s writer context over this wiring.
+    pub(crate) fn ctx(&self, k: usize) -> ShardCtx {
+        ShardCtx::new(
+            k,
+            self.txs.len(),
+            self.region_of.iter().map(|&r| r == k).collect(),
+            self.router.clone(),
+            self.txs.clone(),
+            self.views.clone(),
+            self.coord.clone(),
+            self.gauges.clone(),
+            Some(self.io_live.clone()),
+        )
+    }
+
     /// Spawns one writer per shard over its slice of the boot state: the
     /// providers the router gives a shard carry their placement and
     /// admission flag, all others are Remote/inactive there (their
-    /// owner's slice carries them). `on_exit` runs on each writer thread
-    /// once its shard has drained. Call once: the queues' receivers move
-    /// into the writers.
+    /// owner's slice carries them). Every shard's state is built, and its
+    /// boot view published, on the calling thread before any writer
+    /// starts, so neither a read right after this returns nor a writer's
+    /// rebalance estimate ever sees an empty placeholder view. `on_exit`
+    /// runs on each writer thread once its shard has drained. Call once:
+    /// the queues' receivers move into the writers.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         &mut self,
@@ -422,48 +442,33 @@ impl Plumbing {
         on_exit: impl Fn() + Clone + Send + 'static,
     ) -> Vec<JoinHandle<MarketOutcome>> {
         let n = market.provider_count();
-        let shards = self.txs.len();
+        let shards: Vec<(Shard, ShardCtx)> = (0..self.txs.len())
+            .map(|k| {
+                let ctx = self.ctx(k).with_demand(demand.clone());
+                let mut shard_profile = Profile::all_remote(n);
+                let mut shard_active = vec![false; n];
+                for p in 0..n {
+                    if self.router.owner(p) == k {
+                        shard_active[p] = active[p];
+                        shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
+                    }
+                }
+                let (market, view) = (market.clone(), &self.views[k]);
+                let shard = Shard::boot(market, shard_profile, shard_active, seq, view, &ctx);
+                (shard, ctx)
+            })
+            .collect();
         let rxs = std::mem::take(&mut self.rxs);
         let mut writers = Vec::with_capacity(rxs.len());
-        for (k, rx) in rxs.into_iter().enumerate() {
-            let ctx = ShardCtx::new(
-                k,
-                shards,
-                self.region_of.iter().map(|&r| r == k).collect(),
-                self.router.clone(),
-                self.txs.clone(),
-                self.views.clone(),
-                self.coord.clone(),
-                self.gauges.clone(),
-                Some(self.io_live.clone()),
-            )
-            .with_demand(demand.clone());
-            let mut shard_profile = Profile::all_remote(n);
-            let mut shard_active = vec![false; n];
-            for p in 0..n {
-                if self.router.owner(p) == k {
-                    shard_active[p] = active[p];
-                    shard_profile.set(ProviderId(p), profile.placement(ProviderId(p)));
-                }
-            }
-            let shard_market = market.clone();
-            let view = self.views[k].clone();
+        for ((rx, (shard, ctx)), view) in rxs.into_iter().zip(shards).zip(&self.views) {
+            let view = view.clone();
             let cfg = cfg.clone();
             let on_exit = on_exit.clone();
             // The shard's writer thread: owns its region for its whole
             // life. Intentionally a raw thread, not the bench pool — it is
             // joined through its handle. lint: allow(thread-spawn)
             writers.push(std::thread::spawn(move || {
-                let outcome = run_shard(
-                    shard_market,
-                    shard_profile,
-                    shard_active,
-                    seq,
-                    &rx,
-                    &view,
-                    &cfg,
-                    &ctx,
-                );
+                let outcome = run_shard(shard, &rx, &view, &cfg, &ctx);
                 on_exit();
                 outcome
             }));

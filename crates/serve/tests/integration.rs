@@ -7,7 +7,7 @@
 //! full TCP stack, not the market thread in isolation.
 
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mec_core::model::{CloudletSpec, Market, ProviderSpec};
 use mec_core::{BestResponseDynamics, MoveOrder, Placement, Profile, ProviderId};
@@ -273,12 +273,9 @@ fn crash_recovery(shards: usize) {
     // slot frees up.
     let (handle2, mut client2) = boot_sharded(two_slot_market(6), Some(&snap), shards);
     let stats = client2.stats().expect("stats");
-    // A one-shard daemon sends no per-shard rows (the pre-sharding wire
-    // encoding); a sharded one reports every shard.
-    let rows = if shards > 1 { shards } else { 0 };
     assert_eq!(
         stats.shards.len(),
-        rows,
+        shards,
         "restored daemon reports every shard"
     );
     // Composite stats sum the per-shard seqs; each restored shard starts
@@ -310,6 +307,17 @@ fn crash_recovery(shards: usize) {
         assert!((c0 - c1).abs() < 1e-12, "provider {p} cost");
     }
     assert_eq!(client2.leave(0).expect("leave"), Response::Left);
+    // Let maintenance settle the freed slot first: at one shard a quantum
+    // moves a provider into the cheaper slot provider 0 left, and a join
+    // that overtook it would land there instead.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !client2.stats().expect("stats").equilibrium {
+        assert!(
+            Instant::now() < deadline,
+            "market never settled after the leave"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Provider 5 homes to shard 1, whose cloudlet is still full; the
     // restored router must forward it to the slot shard 0 just freed.
     match client2.join(5).expect("post-restore join") {

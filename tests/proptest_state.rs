@@ -1,7 +1,7 @@
 //! Differential property tests: the incremental `GameState` must stay in
 //! exact agreement with recomputation from scratch under arbitrary move
-//! sequences, and every query answered from its maintained aggregates must
-//! match the reference `Profile` path.
+//! and demand-change sequences, and every query answered from its
+//! maintained aggregates must match the reference `Profile` path.
 
 use mec_core::game::{best_response, BestResponseDynamics, MoveOrder};
 use mec_core::model::{CloudletSpec, Market, ProviderSpec};
@@ -63,22 +63,44 @@ fn apply_script(state: &mut GameState<'_>, script: &[(usize, usize)]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// After any apply_move sequence the maintained congestion, loads and
-    /// residuals equal a from-scratch recomputation from the profile.
+    /// After any sequence of moves and demand changes the maintained
+    /// congestion, loads and residuals equal a from-scratch recomputation
+    /// from the profile, and every `set_demand` leaves the state equal to a
+    /// fresh `GameState::new` over the updated market: congestion exactly,
+    /// loads within 1e-9, costs bit-identical.
     #[test]
     fn state_matches_recompute_after_any_move_sequence(
         r in rand_market(),
-        script in proptest::collection::vec((0usize..64, 0usize..8), 0..40),
+        script in proptest::collection::vec(
+            (0usize..64, 0usize..8, proptest::bool::ANY, (0.0..6.0f64, 0.0..20.0f64)),
+            0..40,
+        ),
     ) {
         let market = build(&r);
+        let mut updated = market.clone();
         let mut state = GameState::all_remote(&market);
-        apply_script(&mut state, &script);
+        for &(lp, cp, redemand, (a, b)) in &script {
+            if !redemand {
+                apply_script(&mut state, &[(lp, cp)]);
+                continue;
+            }
+            let l = ProviderId(lp % state.len());
+            state.set_demand(l, a, b);
+            updated.set_provider_demand(l, a, b);
+            let fresh = GameState::new(&updated, state.profile().clone());
+            prop_assert_eq!(state.market().provider(l), updated.provider(l));
+            prop_assert_eq!(state.congestion_counts(), fresh.congestion_counts());
+            let close = |(a, b): (f64, f64), (c, d): (f64, f64)| (a - c).abs() <= 1e-9 && (b - d).abs() <= 1e-9;
+            prop_assert!(updated.cloudlets().all(|i| close(state.load(i), fresh.load(i))));
+            let bits = |s: &GameState<'_>, k| s.provider_cost(k).to_bits();
+            prop_assert!(updated.providers().all(|k| bits(&state, k) == bits(&fresh, k)));
+        }
         prop_assert!(state.agrees_with_recompute(1e-9));
 
         let profile = state.profile().clone();
-        let sigma = profile.congestion(&market);
+        let sigma = profile.congestion(&updated);
         prop_assert_eq!(state.congestion_counts(), sigma.as_slice());
-        for (i, want) in market.cloudlets().zip(profile.residual(&market)) {
+        for (i, want) in updated.cloudlets().zip(profile.residual(&updated)) {
             let got = state.residual(i);
             prop_assert!((got.0 - want.0).abs() <= 1e-9 && (got.1 - want.1).abs() <= 1e-9,
                 "residual mismatch at {}: {:?} vs {:?}", i, got, want);
